@@ -248,27 +248,29 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
         if not np.any(active):
             break
         xa = x[active]
-        ra = xin[active] - g(xa)
+        ra = r[active]
         d = np.linalg.solve(body.hessian_half_sq(xa), ra[..., None])[..., 0]
         lam = np.ones(xa.shape[0])
         best = xa.copy()
+        bestr = ra.copy()
         bestres = np.linalg.norm(ra, axis=-1)
         pending = np.ones(xa.shape[0], dtype=bool)
         for _bt in range(30):
             trial = xa + lam[:, None] * d
-            tres = np.linalg.norm(xin[active] - g(trial), axis=-1)
+            tr = xin[active] - g(trial)
+            tres = np.linalg.norm(tr, axis=-1)
             ok = pending & (tres < (1.0 - 1e-4 * lam) * bestres)
             best[ok] = trial[ok]
+            bestr[ok] = tr[ok]
             bestres[ok] = tres[ok]
             pending &= ~ok
             if not np.any(pending):
                 break
             lam[pending] *= 0.5
         x[active] = best
-        res_active = bestres
-        res[active] = res_active
-        newly_done = res <= _DUAL_TOL
-        active = ~newly_done
+        r[active] = bestr
+        res[active] = bestres
+        active = ~(res <= _DUAL_TOL)
     if np.any(active):
         idx = np.nonzero(active)[0]
         for i in idx:
@@ -326,15 +328,6 @@ def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
     return x / Fs[..., None]
 
 
-@dataclass(eq=False)
-class DualGaugeBody:
-    """Settings bundle for numerically inverted duals."""
-
-    primal: GaugeBody
-    newton_tol: float = _DUAL_TOL
-    max_iterations: int = _DUAL_MAXIT
-
-
 def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
     """Dual body with F*, grad F* and Hess(0.5 F*^2) obtained from the primal
     by gradient inversion (no closed form assumed)."""
@@ -360,8 +353,24 @@ def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
         symmetric=body.symmetric,
         label=label or f"dual({body.label})",
         kind="dual",
-        params={"settings": DualGaugeBody(primal=body)},
+        params={"primal": body},
     )
+
+
+def half_sq_jet(body: GaugeBody, x: Array):
+    """Gradient and Hessian of 0.5 F^2 at a batch of points.
+
+    For a numeric dual both come from one gradient-inverse solve y of the
+    primal: grad(0.5 F*^2)(x) = F(y) * (y / F(y)), the product the dual's
+    ``gauge * gradient`` forms, and Hess(0.5 F*^2)(x) = Hess(0.5 F^2)(y)^{-1}.
+    Any other body calls its three evaluators.
+    """
+    primal = body.params.get("primal") if body.kind == "dual" else None
+    if primal is None:
+        return body.gauge(x)[..., None] * body.gradient(x), body.hessian_half_sq(x)
+    y = _solve_gradient_inverse(primal, x)
+    Fy = primal.gauge(y)[..., None]
+    return Fy * (y / Fy), np.linalg.inv(primal.hessian_half_sq(y))
 
 
 def dual_body(body: GaugeBody) -> GaugeBody:
@@ -371,10 +380,8 @@ def dual_body(body: GaugeBody) -> GaugeBody:
         Ainv = np.linalg.inv(body.params["A"])
         Ainv = 0.5 * (Ainv + Ainv.T)
         return make_ellipsoid(Ainv, label=f"dual({body.label})")
-    if body.kind == "dual":
-        settings = body.params.get("settings")
-        if settings is not None:
-            return settings.primal
+    if body.kind == "dual" and "primal" in body.params:
+        return body.params["primal"]
     return numeric_dual(body)
 
 

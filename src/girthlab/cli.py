@@ -38,12 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_file(args.config)
+        config = ExperimentConfig.from_file(args.config, seed=args.seed, jobs=args.jobs)
         config.experiment = args.command
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.jobs is not None:
-            config.jobs = args.jobs
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,6 +71,16 @@ def subseed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _bounded_int(name: str, value, minimum: int) -> int:
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if out < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {out}")
+    return out
+
+
 @dataclass
 class SolverOptions:
     N: int = 16
@@ -124,19 +134,23 @@ class ExperimentConfig:
             norm2=space.get("norm2"),
             experiment=experiment,
             solver=solver,
-            seed=int(d.get("seed", 0)),
+            seed=_bounded_int("seed", d.get("seed", 0), 0),
             output=d.get("output"),
             tolerances=tols,
-            jobs=int(d.get("jobs", 1)),
+            jobs=_bounded_int("jobs", d.get("jobs", 1), 1),
         )
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, **overrides) -> "ExperimentConfig":
+        """Read a JSON config; keyword overrides that are not None replace
+        top-level keys before validation."""
         with open(path) as fh:
             try:
                 d = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON config: {exc}") from exc
+        if isinstance(d, dict):
+            d.update((k, v) for k, v in overrides.items() if v is not None)
         return cls.from_dict(d)
 
     def to_dict(self) -> dict:

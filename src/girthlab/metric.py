@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import GaugeBody, dual_body
+from .bodies import GaugeBody, dual_body, half_sq_jet
 from .errors import NumericalFailureError, PreconditionError
 
 Array = np.ndarray
@@ -86,11 +86,42 @@ def restrict_covector(sphere: EmbeddedSphere, P: Array, q: Array) -> Array:
 
 def _phi_derivatives(dual: GaugeBody, xi: Array, n: Array):
     """First and second t-derivatives of 0.5 * Fdual(p + t n)^2 at xi = p + t n."""
-    g = dual.gauge(xi)[..., None] * dual.gradient(xi)
+    g, H = half_sq_jet(dual, xi)
     d1 = np.einsum("...i,...i->...", g, n)
-    H = dual.hessian_half_sq(xi)
     d2 = np.einsum("...i,...ij,...j->...", n, H, n)
     return d1, d2
+
+
+def _expand_bracket(dual: GaugeBody, p: Array, n: Array, end: Array, step: Array, sign: float):
+    """Move each bracket end outward, ``end += sign * step`` with doubling
+    steps, until the slope at it has the sign of ``sign``.  After the first
+    pass only the ends still moving are evaluated.  ``end`` and ``step`` are
+    updated in place."""
+    idx = None  # every entry on the first pass, then the ones still moving
+    for _ in range(80):
+        e = end if idx is None else end[idx]
+        d1, _ = _phi_derivatives(dual, p + e[:, None] * n, n)
+        bad = sign * d1 < 0.0
+        if not np.any(bad):
+            break
+        idx = np.flatnonzero(bad) if idx is None else idx[bad]
+        p, n = p[bad], n[bad]
+        end[idx] += sign * step[idx]
+        step[idx] *= 2.0
+
+
+def _safeguarded_step(dual: GaugeBody, p: Array, n: Array, t: Array, lo: Array, hi: Array):
+    """One Newton step on the slope of 0.5 * Fdual(p + t n)^2.  The bracket
+    [lo, hi] first shrinks to the side of t the slope's sign allows; a step
+    that leaves it bisects it instead.  Returns (t_new, lo, hi)."""
+    d1, d2 = _phi_derivatives(dual, p + t[:, None] * n, n)
+    neg = d1 < 0.0
+    lo = np.where(neg, np.maximum(lo, t), lo)
+    hi = np.where(~neg, np.minimum(hi, t), hi)
+    dt = -d1 / d2
+    tn = t + dt
+    outside = (tn <= lo) | (tn >= hi)
+    return np.where(outside, 0.5 * (lo + hi), tn), lo, hi
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e-11):
@@ -99,6 +130,9 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     Returns (t_star, value).  Works on the strictly convex square of the
     dual gauge with a safeguarded Newton iteration (bisection fallback on a
     sign-change bracket).  Entries with p = 0 short-circuit to t = 0.
+    Every pass evaluates only the entries that have not yet converged;
+    evaluators are row-independent, so the result does not depend on the
+    batch an entry shares.
     """
     p = np.asarray(p, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -110,16 +144,14 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     val = np.zeros(m)
 
     pnorm = np.linalg.norm(pb, axis=-1)
-    zero = pnorm < 1e-300
-    live = ~zero
-    if np.any(zero):
-        val[zero] = 0.0
+    live = ~(pnorm < 1e-300)
     if not np.any(live):
-        res = (t, val)
-        return (res[0][0], res[1][0]) if single else res
+        return (t[0], val[0]) if single else (t, val)
 
-    pl, nl = pb[live], nb[live]
-    scale = pnorm[live] / np.linalg.norm(nl, axis=-1)
+    # gather only when some entry is zero: copies of the whole batch would
+    # sit beside the Newton loop's compacted arrays
+    pl, nl, pn = (pb, nb, pnorm) if live.all() else (pb[live], nb[live], pnorm[live])
+    scale = pn / np.linalg.norm(nl, axis=-1)
 
     # initial Newton step from t = 0
     d1, d2 = _phi_derivatives(dual, pl, nl)
@@ -129,40 +161,22 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     step = np.maximum(np.abs(tl), scale)
     lo = tl - step
     hi = tl + step
-    for _ in range(80):
-        dlo, _ = _phi_derivatives(dual, pl + lo[:, None] * nl, nl)
-        bad = dlo > 0.0
-        if not np.any(bad):
-            break
-        lo[bad] -= step[bad]
-        step[bad] *= 2.0
-    step = np.maximum(np.abs(tl), scale)
-    for _ in range(80):
-        dhi, _ = _phi_derivatives(dual, pl + hi[:, None] * nl, nl)
-        bad = dhi < 0.0
-        if not np.any(bad):
-            break
-        hi[bad] += step[bad]
-        step[bad] *= 2.0
+    _expand_bracket(dual, pl, nl, lo, step, -1.0)
+    _expand_bracket(dual, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
 
-    active = np.ones(tl.shape[0], dtype=bool)
+    # safeguarded Newton on the unconverged entries, compacted together
+    idx = np.arange(tl.shape[0])
+    pa, na, ta, sa = pl, nl, tl, scale
     for _ in range(100):
-        if not np.any(active):
+        if idx.size == 0:
             break
-        xi = pl + tl[:, None] * nl
-        d1, d2 = _phi_derivatives(dual, xi, nl)
-        neg = d1 < 0.0
-        lo = np.where(neg, np.maximum(lo, tl), lo)
-        hi = np.where(~neg, np.minimum(hi, tl), hi)
-        dt = -d1 / d2
-        tn = tl + dt
-        outside = (tn <= lo) | (tn >= hi)
-        tn = np.where(outside, 0.5 * (lo + hi), tn)
-        moved = np.abs(tn - tl)
-        conv = moved <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
-        tl = np.where(active, tn, tl)
-        active &= ~conv
-    if np.any(active) and np.any((hi - lo)[active] > 1e-6 * np.maximum(scale[active], 1.0)):
+        tn, lo, hi = _safeguarded_step(dual, pa, na, ta, lo, hi)
+        conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(sa, 1.0)
+        tl[idx] = tn
+        keep = ~conv
+        idx, pa, na, ta, sa = idx[keep], pa[keep], na[keep], tn[keep], sa[keep]
+        lo, hi = lo[keep], hi[keep]
+    if idx.size and np.any((hi - lo) > 1e-6 * np.maximum(sa, 1.0)):
         raise NumericalFailureError("1-D conormal line minimization failed")
 
     t[live] = tl

@@ -1,8 +1,8 @@
 """Acceptance battery: nine oracle-backed criteria, one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they complete; the whole battery is several minutes of desk-scale
-compute.
+they complete; the whole battery is a few minutes of desk-scale compute,
+so it is marked ``slow`` and ``pytest -m "not slow"`` skips it.
 """
 
 import time
@@ -31,6 +31,8 @@ from girthlab.harness import run_maps_battery
 from girthlab.metric import CoSpherePoint, cosphere_lift
 
 from oracles import ellipse_perimeter
+
+pytestmark = pytest.mark.slow
 
 
 def _report(name, value, tol, note=""):

@@ -64,6 +64,26 @@ def test_config_requires_norm1():
         ExperimentConfig.from_dict({"version": 1, "space": {}, "experiment": "girth"})
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(make_config("girth", seed=-1))
+    path = write_config(tmp_path, make_config("girth"))
+    assert main(["girth", "--config", path, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed") and err.count("\n") == 1
+
+
+def test_zero_jobs_is_config_error(tmp_path, capsys):
+    d = make_config("girth")
+    d["jobs"] = 0
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+    path = write_config(tmp_path, make_config("girth"))
+    assert main(["girth", "--config", path, "--jobs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: jobs") and err.count("\n") == 1
+
+
 def test_body_from_spec_rejects_unknown_type():
     with pytest.raises(ConfigError):
         body_from_spec({"type": "simplex"}, 3)

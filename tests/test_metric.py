@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from girthlab import (
     EmbeddedSphere,
     PreconditionError,
     cosphere_lift,
+    dual_body,
     induced_hamiltonian,
     induced_length,
     make_ellipsoid,
@@ -14,6 +17,7 @@ from girthlab import (
     restrict_covector,
     sample_cosphere,
 )
+from girthlab.bodies import half_sq_jet
 from girthlab.metric import conormal, minimize_along_conormal
 
 from oracles import polygon_length
@@ -60,6 +64,56 @@ def test_line_minimization_zero_covector(round_sphere):
         round_sphere.dual2, np.zeros(3), np.array([1.0, 0.0, 0.0])
     )
     assert t == 0.0 and val == 0.0
+
+
+def _conormal_lines(body1, m, seed):
+    """Random canonical covectors p and conormals n on the unit surface of body1."""
+    r = np.random.default_rng(seed)
+    s = EmbeddedSphere(body1, body1)
+    q = project_to_surface(body1, r.standard_normal((m, 3)))
+    return restrict_covector(s, r.standard_normal((m, 3)), q), conormal(s, q)
+
+
+@pytest.mark.parametrize("which", ["numeric_dual", "power_mean"])
+def test_line_minimization_batch_equals_rows(which, pm_body, aniso_ellipsoid):
+    # evaluators are row-independent, so a batched call gives every row the
+    # bits of its own scalar call, whichever entries share its batch
+    dual = dual_body(pm_body) if which == "numeric_dual" else pm_body
+    p, n = _conormal_lines(aniso_ellipsoid, 12, 11)
+    t, val = minimize_along_conormal(dual, p, n)
+    for i in range(len(p)):
+        ti, vi = minimize_along_conormal(dual, p[i], n[i])
+        assert ti.tobytes() == t[i].tobytes() and vi.tobytes() == val[i].tobytes()
+
+
+def test_line_minimization_skips_converged_entries(pm_body):
+    # m - 1 entries start at their minimum (n tangent to the level set of p)
+    # and converge on the first Newton pass; one generic entry needs more.
+    # A solver that re-evaluates the whole batch evaluates m points a pass.
+    counts = {"calls": 0, "points": 0}
+
+    def counted(x):
+        counts["calls"] += 1
+        counts["points"] += np.atleast_2d(x).shape[0]
+        return pm_body.gradient(x)
+
+    body = dataclasses.replace(pm_body, gradient=counted)
+    r = np.random.default_rng(5)
+    p = r.standard_normal((16, 3))
+    n = np.cross(pm_body.gradient(p), r.standard_normal((16, 3)))
+    p[0], n[0] = [1.0, 0.2, -0.3], [0.1, 1.0, 0.4]
+    t, _ = minimize_along_conormal(body, p, n)
+    assert np.all(np.abs(t[1:]) < 1e-9) and abs(t[0]) > 1e-3
+    assert counts["points"] < len(p) * counts["calls"]
+
+
+@pytest.mark.parametrize("which", ["numeric_dual", "power_mean"])
+def test_half_sq_jet_matches_evaluators(which, pm_body):
+    body = dual_body(pm_body) if which == "numeric_dual" else pm_body
+    x = np.random.default_rng(2).standard_normal((30, 3))
+    g, H = half_sq_jet(body, x)
+    np.testing.assert_allclose(g, body.gauge(x)[:, None] * body.gradient(x), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(H, body.hessian_half_sq(x), rtol=0, atol=1e-13)
 
 
 def test_round_hamiltonian_is_tangent_norm(round_sphere):
