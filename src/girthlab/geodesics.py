@@ -1,12 +1,15 @@
 """Girth and geodesics on an embedded unit sphere.
 
-The girth solver works on centrally symmetric closed polygons, storing
-only half of the vertices; minimization happens on free ambient vectors
-that are radially rescaled onto the surface, so the constraint is exact.
-Discrete curve *energy* (segment count times the sum of squared chord
-gauges) is the optimization objective: its minimizers are constant-speed
-discrete geodesics, whereas raw chord length admits spurious collapsed
-configurations.  Reported lengths are always plain chord-gauge sums.
+Girth, the length spectrum and the diameter probe minimize one discrete
+polygon energy with one continuation driver; the polygon's closure
+(centrally symmetric with half of the vertices stored, closed, or with
+fixed endpoints) is a parameter of both.  Minimization happens on free
+ambient vectors that are radially rescaled onto the surface, so the
+constraint is exact.  Discrete curve *energy* (segment count times the sum
+of squared chord gauges) is the optimization objective: its minimizers are
+constant-speed discrete geodesics, whereas raw chord length admits
+spurious collapsed configurations.  Reported lengths are always plain
+chord-gauge sums.
 """
 
 from __future__ import annotations
@@ -84,135 +87,124 @@ class GirthResult:
 
 # ---------------------------------------------------------------------------
 # discrete energies
+#
+# A polygon is its free vertices plus a closure: "symmetric" wraps the last
+# vertex to the antipode of the first and counts the polygon as two halves,
+# "closed" wraps it to the first vertex, and a pair (a, b) of surface points
+# fixes both endpoints.
 
 
-def _sym_chords(x: Array) -> Array:
-    # half-curve chords, last one wraps to the antipode of the first vertex
-    return np.concatenate([x[1:] - x[:-1], (-x[0] - x[-1])[None, :]], axis=0)
+def _chain(x: Array, closure) -> Array:
+    """The vertex chain whose successive differences are the chords."""
+    if closure == "symmetric":
+        return np.concatenate([x, -x[:1]], axis=0)
+    if closure == "closed":
+        return np.concatenate([x, x[:1]], axis=0)
+    a, b = closure
+    return np.concatenate([a[None, :], x, b[None, :]], axis=0)
+
+
+def _length(sphere: EmbeddedSphere, x: Array, closure) -> float:
+    L = float(np.sum(sphere.body2.gauge(np.diff(_chain(x, closure), axis=0))))
+    return 2.0 * L if closure == "symmetric" else L
 
 
 def symmetric_length(sphere: EmbeddedSphere, x: Array) -> float:
-    return 2.0 * float(np.sum(sphere.body2.gauge(_sym_chords(x))))
+    return _length(sphere, x, "symmetric")
 
 
-def _symmetric_energy_and_grad(sphere: EmbeddedSphere, y: Array):
-    """Energy of the radially projected symmetric polygon and its gradient
-    with respect to the free vertices y."""
+def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
+    """Energy of the radially projected polygon and its gradient with
+    respect to the free vertices y."""
     body1, body2 = sphere.body1, sphere.body2
-    N = y.shape[0]
-    M = 2 * N
+    n = y.shape[0]
     F1 = body1.gauge(y)
     x = y / F1[:, None]
-    c = _sym_chords(x)
+    c = np.diff(_chain(x, closure), axis=0)
     Fc = body2.gauge(c)
-    E = M * float(np.sum(Fc**2))
-    w = (2.0 * M) * Fc[:, None] * body2.gradient(c)
-    g = np.zeros_like(x)
-    g[1:] += w[: N - 1]
-    g[: N - 1] -= w[: N - 1]
-    g[0] -= w[N - 1]
-    g[N - 1] -= w[N - 1]
+    m = 2 * n if closure == "symmetric" else len(c)
+    E = m * float(np.sum(Fc**2))
+    w = (2.0 * m) * Fc[:, None] * body2.gradient(c)
+    gV = np.zeros((len(c) + 1, x.shape[1]))
+    gV[1:] += w
+    gV[:-1] -= w
+    # fold the closure row back onto the vertex it repeats
+    if closure == "symmetric":
+        g = gV[:n]
+        g[0] -= gV[n]
+    elif closure == "closed":
+        g = gV[:n]
+        g[0] += gV[n]
+    else:
+        g = gV[1:-1]
     # chain rule through the radial projection
     grad1 = body1.gradient(y)
     xg = np.einsum("ij,ij->i", x, g)
     gy = (g - xg[:, None] * grad1) / F1[:, None]
-    return E, gy, x
-
-
-def _closed_chords(x: Array) -> Array:
-    return np.roll(x, -1, axis=0) - x
-
-
-def closed_length(sphere: EmbeddedSphere, x: Array) -> float:
-    return float(np.sum(sphere.body2.gauge(_closed_chords(x))))
-
-
-def _closed_energy_and_grad(sphere: EmbeddedSphere, y: Array):
-    body1, body2 = sphere.body1, sphere.body2
-    K = y.shape[0]
-    F1 = body1.gauge(y)
-    x = y / F1[:, None]
-    c = _closed_chords(x)
-    Fc = body2.gauge(c)
-    E = K * float(np.sum(Fc**2))
-    w = (2.0 * K) * Fc[:, None] * body2.gradient(c)
-    g = np.roll(w, 1, axis=0) - w
-    grad1 = body1.gradient(y)
-    xg = np.einsum("ij,ij->i", x, g)
-    gy = (g - xg[:, None] * grad1) / F1[:, None]
-    return E, gy, x
-
-
-def _lbfgs(fun, y0: Array, tol: float, maxiter: int):
-    shape = y0.shape
-
-    def packed(z):
-        E, g, _ = fun(z.reshape(shape))
-        return E, g.ravel()
-
-    res = minimize(
-        packed,
-        y0.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"ftol": 1e-16, "gtol": tol, "maxiter": maxiter, "maxcor": 20},
-    )
-    return res.x.reshape(shape), float(np.linalg.norm(res.jac))
+    return E, gy
 
 
 # ---------------------------------------------------------------------------
-# starts and refinement
+# starts and continuation
 
 
-def _great_circle_half(u: Array, v: Array, N: int) -> Array:
-    theta = np.pi * np.arange(N) / N
+def _great_circle(u: Array, v: Array, n: int, span: float) -> Array:
+    theta = span * np.arange(n) / n
     return np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
 
 
-def _coordinate_starts(dim: int, N: int):
+def _random_circle(rng, dim: int, n: int, span: float, noise: float) -> Array:
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+    pts = _great_circle(basis[:, 0], basis[:, 1], n, span)
+    return pts + noise * rng.standard_normal(pts.shape)
+
+
+def _symmetric_starts(rng, dim: int, N: int, count: int) -> list:
+    """Half great circles in the coordinate planes, then perturbed random
+    ones until there are ``count``."""
     eye = np.eye(dim)
     planes = [(0, 1), (0, 2), (1, 2)] if dim >= 3 else [(0, 1)]
-    return [_great_circle_half(eye[i], eye[j], N) for i, j in planes[:3]]
+    starts = [_great_circle(eye[i], eye[j], N, np.pi) for i, j in planes]
+    while len(starts) < count:
+        starts.append(_random_circle(rng, dim, N, np.pi, 0.1))
+    return starts
 
 
-def _random_symmetric_start(rng, dim: int, N: int) -> Array:
-    basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
-    pts = _great_circle_half(basis[:, 0], basis[:, 1], N)
-    pts = pts + 0.1 * rng.standard_normal(pts.shape)
-    return pts
-
-
-def _upsample_half(x: Array) -> Array:
-    nxt = np.concatenate([x[1:], (-x[0])[None, :]], axis=0)
-    mids = 0.5 * (x + nxt)
+def _upsample(x: Array, closure) -> Array:
+    """Insert the midpoint between each free vertex and its successor."""
+    nxt = _chain(x, closure)[-x.shape[0] :]
     out = np.empty((2 * x.shape[0], x.shape[1]))
     out[0::2] = x
-    out[1::2] = mids
+    out[1::2] = 0.5 * (x + nxt)
     return out
 
 
-def _upsample_closed(x: Array) -> Array:
-    mids = 0.5 * (x + np.roll(x, -1, axis=0))
-    out = np.empty((2 * x.shape[0], x.shape[1]))
-    out[0::2] = x
-    out[1::2] = mids
-    return out
+def _continuation(sphere, x, closure, tol, maxiter, levels):
+    """Minimize the energy from the surface polygon x, doubling the vertex
+    count at each further level, with Richardson extrapolation of the last
+    two lengths.  Returns (value, error, lengths, x, residual)."""
+    if levels < 1:
+        raise PreconditionError("levels must be >= 1")
+    dim = x.shape[1]
 
+    def fun(z):
+        E, g = _energy_and_grad(sphere, z.reshape(-1, dim), closure)
+        return E, g.ravel()
 
-def _minimize_symmetric(sphere, x0, tol, maxiter, levels):
-    """Continuation N -> 2N -> ... with Richardson extrapolation of the
-    chord lengths."""
     lengths = []
-    x = project_to_surface(sphere.body1, x0)
-    resid = np.inf
     for lvl in range(levels):
         if lvl > 0:
-            x = project_to_surface(sphere.body1, _upsample_half(x))
-        x, resid = _lbfgs(
-            lambda y: _symmetric_energy_and_grad(sphere, y), x, tol, maxiter
+            x = project_to_surface(sphere.body1, _upsample(x, closure))
+        res = minimize(
+            fun,
+            x.ravel(),
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": 1e-16, "gtol": tol, "maxiter": maxiter, "maxcor": 20},
         )
-        x = project_to_surface(sphere.body1, x)
-        lengths.append(symmetric_length(sphere, x))
+        x = project_to_surface(sphere.body1, res.x.reshape(-1, dim))
+        resid = float(np.linalg.norm(res.jac))
+        lengths.append(_length(sphere, x, closure))
     if len(lengths) >= 2:
         value = (4.0 * lengths[-1] - lengths[-2]) / 3.0
         err = abs(lengths[-1] - lengths[-2]) / 3.0
@@ -230,15 +222,18 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
     if sphere.dim < 3:
         raise UnsupportedInputError("girth requires ambient dimension >= 3")
     rng = np.random.default_rng(opts.seed)
-    starts = _coordinate_starts(sphere.dim, opts.N)
-    while len(starts) < opts.starts:
-        starts.append(_random_symmetric_start(rng, sphere.dim, opts.N))
+    starts = _symmetric_starts(rng, sphere.dim, opts.N, opts.starts)
 
     best = None
     start_lengths = []
     for idx, x0 in enumerate(starts):
-        value, err, lengths, x, resid = _minimize_symmetric(
-            sphere, x0, opts.tol, opts.maxiter, opts.levels
+        value, err, lengths, x, resid = _continuation(
+            sphere,
+            project_to_surface(sphere.body1, x0),
+            "symmetric",
+            opts.tol,
+            opts.maxiter,
+            opts.levels,
         )
         start_lengths.append(value)
         if best is None or value < best[0]:
@@ -261,27 +256,6 @@ def dual_girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> G
     ambient = dual norm of the base body), computed by the same variational
     solver and nothing else."""
     return girth(sphere.swapped(), opts)
-
-
-def refine_closed_geodesic(
-    sphere: EmbeddedSphere, curve: DiscreteSymmetricCurve, tol: float = 1e-10
-):
-    """Polish a near-critical symmetric curve; returns the refined curve and
-    a residual report."""
-    x0 = project_to_surface(sphere.body1, curve.half_points)
-    start_len = symmetric_length(sphere, x0)
-    x, resid = _lbfgs(
-        lambda y: _symmetric_energy_and_grad(sphere, y), x0, tol, 4000
-    )
-    x = project_to_surface(sphere.body1, x)
-    end_len = symmetric_length(sphere, x)
-    report = {
-        "first_order_residual": resid,
-        "length": end_len,
-        "start_length": start_len,
-        "diverged": bool(end_len > start_len * (1.0 + 1e-8) + 1e-12),
-    }
-    return DiscreteSymmetricCurve(x), report
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +281,18 @@ def length_spectrum_probe(
     if k_starts < 1:
         raise PreconditionError("k_starts must be >= 1")
     rng = np.random.default_rng(seed)
+    runs = [("symmetric", x0) for x0 in _symmetric_starts(rng, sphere.dim, N, k_starts)]
+    runs += [
+        ("closed", _random_circle(rng, sphere.dim, 2 * N, 2.0 * np.pi, 0.05))
+        for _ in range(2)
+    ]
     found = []
-    starts = _coordinate_starts(sphere.dim, N)
-    n_random = max(0, k_starts - len(starts))
-    for _ in range(n_random):
-        starts.append(_random_symmetric_start(rng, sphere.dim, N))
-    for x0 in starts:
-        value, err, lengths, x, resid = _minimize_symmetric(
-            sphere, x0, 1e-11, 4000, levels
+    for closure, x0 in runs:
+        value, _, _, _, resid = _continuation(
+            sphere, project_to_surface(sphere.body1, x0), closure, 1e-11, 4000, levels
         )
-        if resid <= 1e-5:
-            found.append(value)
-    # non-symmetric loop starts (full polygons)
-    for _ in range(2):
-        basis, _ = np.linalg.qr(rng.standard_normal((sphere.dim, 2)))
-        theta = 2.0 * np.pi * np.arange(2 * N) / (2 * N)
-        loop = np.cos(theta)[:, None] * basis[:, 0] + np.sin(theta)[:, None] * basis[:, 1]
-        loop += 0.05 * rng.standard_normal(loop.shape)
-        x = project_to_surface(sphere.body1, loop)
-        lengths = []
-        for lvl in range(levels):
-            if lvl > 0:
-                x = project_to_surface(sphere.body1, _upsample_closed(x))
-            x, resid = _lbfgs(
-                lambda y: _closed_energy_and_grad(sphere, y), x, 1e-11, 4000
-            )
-            x = project_to_surface(sphere.body1, x)
-            lengths.append(closed_length(sphere, x))
-        value = (4.0 * lengths[-1] - lengths[-2]) / 3.0
-        if value > 1e-2 and resid <= 1e-5:
+        # a closed loop that shrinks to a point is contractible, not a geodesic
+        if resid <= 1e-5 and (closure == "symmetric" or value > 1e-2):
             found.append(value)
     found.sort()
     clustered = []
@@ -377,33 +334,7 @@ def shortest_path_length(
     a = project_to_surface(sphere.body1, np.asarray(a, float))
     b = project_to_surface(sphere.body1, np.asarray(b, float))
     pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
-    body2 = sphere.body2
-
-    def fun(y):
-        F1 = sphere.body1.gauge(y)
-        x = y / F1[:, None]
-        full = np.concatenate([a[None, :], x, b[None, :]], axis=0)
-        c = np.diff(full, axis=0)
-        Fc = body2.gauge(c)
-        E = (len(c)) * float(np.sum(Fc**2))
-        w = (2.0 * len(c)) * Fc[:, None] * body2.gradient(c)
-        g = w[:-1] - w[1:]
-        grad1 = sphere.body1.gradient(y)
-        xg = np.einsum("ij,ij->i", x, g)
-        gy = (g - xg[:, None] * grad1) / F1[:, None]
-        return E, gy, x
-
-    lengths = []
-    x = pts[1:-1]
-    for lvl in range(levels):
-        if lvl > 0:
-            doubled = np.repeat(x, 2, axis=0)
-            doubled[1::2] = 0.5 * (x + np.concatenate([x[1:], b[None, :]], axis=0))
-            x = project_to_surface(sphere.body1, doubled)
-        x, _ = _lbfgs(fun, x, 1e-10, 2000)
-        x = project_to_surface(sphere.body1, x)
-        full = np.concatenate([a[None, :], x, b[None, :]], axis=0)
-        lengths.append(float(np.sum(body2.gauge(np.diff(full, axis=0)))))
+    _, _, lengths, _, _ = _continuation(sphere, pts[1:-1], (a, b), 1e-10, 2000, levels)
     return lengths[-1]
 
 

@@ -10,6 +10,7 @@ from the canonical bytes.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -24,7 +25,7 @@ from .bodies import (
     make_ellipsoid,
     make_power_mean,
 )
-from .errors import ConfigError
+from .errors import ConfigError, RejectedInputError
 from .geodesics import (
     GirthOptions,
     diameter_probe,
@@ -72,13 +73,26 @@ def subseed(seed: int, *key: int) -> int:
 
 
 def _bounded_int(name: str, value, minimum: int) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    out = int(value)
     if out < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {out}")
     return out
+
+
+def _finite_float(name: str, value, positive: bool = False) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (positive and value <= 0)
+    ):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -112,7 +126,7 @@ class ExperimentConfig:
         space = d.get("space")
         if not isinstance(space, dict) or "norm1" not in space:
             raise ConfigError("config requires space.norm1")
-        dim = int(space.get("dim", 3))
+        dim = _bounded_int("space.dim", space.get("dim", 3), 2)
         experiment = d.get("experiment")
         if experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
@@ -121,13 +135,23 @@ class ExperimentConfig:
         solver_d = d.get("solver", {})
         if not isinstance(solver_d, dict):
             raise ConfigError("solver must be an object")
-        known = {"N", "starts", "tol", "samples", "levels"}
-        bad = set(solver_d) - known
+        defaults = asdict(SolverOptions())
+        bad = set(solver_d) - set(defaults)
         if bad:
             raise ConfigError(f"unknown solver options: {sorted(bad)}")
-        solver = SolverOptions(**solver_d)
+        opts = {k: solver_d.get(k, v) for k, v in defaults.items()}
+        solver = SolverOptions(
+            tol=_finite_float("solver.tol", opts.pop("tol"), positive=True),
+            **{k: _bounded_int(f"solver.{k}", v, 1) for k, v in opts.items()},
+        )
+        tols_d = d.get("tolerances", {})
+        if not isinstance(tols_d, dict):
+            raise ConfigError("tolerances must be an object")
+        bad = set(tols_d) - set(DEFAULT_TOLERANCES)
+        if bad:
+            raise ConfigError(f"unknown tolerances: {sorted(bad)}")
         tols = dict(DEFAULT_TOLERANCES)
-        tols.update(d.get("tolerances", {}))
+        tols.update((k, _finite_float(f"tolerances.{k}", v)) for k, v in tols_d.items())
         return cls(
             dim=dim,
             norm1=space["norm1"],
@@ -164,22 +188,40 @@ class ExperimentConfig:
         }
 
 
+def _matrix(name: str, value, dim: int) -> np.ndarray:
+    try:
+        A = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a {dim}x{dim} matrix of numbers") from None
+    if A.size != dim * dim:
+        raise ConfigError(f"{name} must have {dim}x{dim} entries, got {A.size}")
+    if not np.all(np.isfinite(A)):
+        raise ConfigError(f"{name} has a non-finite entry")
+    return A.reshape(dim, dim)
+
+
 def body_from_spec(spec: dict, dim: int) -> GaugeBody:
     """Build a body from its config description (matrices row-major)."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("norm spec must be an object with a 'type' tag")
     kind = spec["type"]
-    if kind == "ellipsoid":
-        A = np.asarray(spec.get("matrix"), dtype=float).reshape(dim, dim)
-        return make_ellipsoid(A, label=spec.get("label"))
-    if kind == "power_mean":
-        terms = [
-            np.asarray(t, dtype=float).reshape(dim, dim) for t in spec.get("terms", [])
-        ]
-        p = spec.get("p")
-        if p is None:
-            raise ConfigError("power_mean spec requires an exponent p")
-        return make_power_mean(terms, int(p), label=spec.get("label"))
+    try:
+        if kind == "ellipsoid":
+            A = _matrix("ellipsoid matrix", spec.get("matrix"), dim)
+            return make_ellipsoid(A, label=spec.get("label"))
+        if kind == "power_mean":
+            terms = spec.get("terms", [])
+            if not isinstance(terms, list):
+                raise ConfigError("power_mean terms must be a list of matrices")
+            mats = [_matrix("power_mean term", t, dim) for t in terms]
+            p = spec.get("p")
+            if p is None:
+                raise ConfigError("power_mean spec requires an exponent p")
+            return make_power_mean(
+                mats, _bounded_int("power_mean p", p, 2), label=spec.get("label")
+            )
+    except RejectedInputError as exc:
+        raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown norm type {kind!r}")
 
 

@@ -14,8 +14,14 @@ from girthlab import (
     make_ellipsoid,
     shortest_path_length,
 )
-from girthlab.geodesics import DiscreteSymmetricCurve, symmetric_length
-from girthlab.metric import CoSpherePoint, cosphere_lift
+from girthlab.geodesics import (
+    DiscreteSymmetricCurve,
+    _energy_and_grad,
+    _random_circle,
+    _slerp_arc,
+    symmetric_length,
+)
+from girthlab.metric import CoSpherePoint, cosphere_lift, project_to_surface
 
 from oracles import ellipse_perimeter
 
@@ -128,3 +134,37 @@ def test_symmetric_length_definition(round_sphere):
     L = symmetric_length(round_sphere, half)
     # 16-gon inscribed in the unit circle
     assert L == pytest.approx(32.0 * np.sin(np.pi / 16), rel=1e-12)
+
+
+def test_spectrum_probe_single_level(round_sphere):
+    # one level has nothing to extrapolate: every found length is the plain
+    # length of a 32-gon inscribed in a great circle
+    lengths = length_spectrum_probe(round_sphere, 3, seed=0, N=16, levels=1)
+    assert lengths
+    assert min(abs(v - 64.0 * np.sin(np.pi / 32.0)) for v in lengths) <= 1e-8
+
+
+@pytest.mark.parametrize("closure", ["symmetric", "closed", "path"])
+def test_energy_gradient_matches_finite_differences(closure, pm_body6, tilted_ellipsoid):
+    sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    rng = np.random.default_rng(7)
+    if closure == "path":
+        a = project_to_surface(pm_body6, np.array([1.0, 0.2, -0.3]))
+        b = project_to_surface(pm_body6, np.array([-0.1, 1.0, 0.6]))
+        y = _slerp_arc(a, b, 9, rng)[1:-1]
+        closure = (a, b)
+    else:
+        n, span = (8, np.pi) if closure == "symmetric" else (12, 2.0 * np.pi)
+        y = _random_circle(rng, 3, n, span, 0.1)
+    y = y + 0.05 * rng.standard_normal(y.shape)
+    _, g = _energy_and_grad(sphere, y, closure)
+    h = 1e-5
+    fd = np.zeros_like(y)
+    for idx in np.ndindex(*y.shape):
+        step = np.zeros_like(y)
+        step[idx] = h
+        fd[idx] = (
+            _energy_and_grad(sphere, y + step, closure)[0]
+            - _energy_and_grad(sphere, y - step, closure)[0]
+        ) / (2.0 * h)
+    assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)

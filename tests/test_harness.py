@@ -84,6 +84,71 @@ def test_zero_jobs_is_config_error(tmp_path, capsys):
     assert err.startswith("error: jobs") and err.count("\n") == 1
 
 
+def _assert_config_exit(tmp_path, capsys, d, start):
+    path = write_config(tmp_path, d)
+    assert main(["girth", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + start) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "norm1, start",
+    [
+        ({"type": "ellipsoid", "matrix": np.eye(2).tolist()}, "ellipsoid matrix must"),
+        (
+            {"type": "power_mean", "terms": [np.eye(3).tolist(), np.eye(4).tolist()], "p": 4},
+            "power_mean term must",
+        ),
+    ],
+)
+def test_wrong_size_matrix_is_config_error(tmp_path, capsys, norm1, start):
+    _assert_config_exit(tmp_path, capsys, make_config("girth", norm1=norm1), start)
+
+
+def test_nan_matrix_entry_is_config_error(tmp_path, capsys):
+    A = np.eye(3).tolist()
+    A[1][2] = A[2][1] = float("nan")
+    d = make_config("girth", norm1={"type": "ellipsoid", "matrix": A})
+    _assert_config_exit(tmp_path, capsys, d, "ellipsoid matrix has a non-finite entry")
+
+
+def test_indefinite_matrix_is_config_error(tmp_path, capsys):
+    indefinite = {"type": "ellipsoid", "matrix": np.diag([1.0, -1.0, 1.0]).tolist()}
+    d = make_config("girth", norm1=indefinite)
+    _assert_config_exit(tmp_path, capsys, d, "ellipsoid matrix must be positive definite")
+
+
+def test_odd_power_mean_exponent_is_config_error(tmp_path, capsys):
+    d = make_config("girth", norm1=dict(PM, p=3))
+    _assert_config_exit(tmp_path, capsys, d, "exponent p must be an even integer")
+
+
+@pytest.mark.parametrize(
+    "path, value, start",
+    [
+        (("space", "dim"), "three", "space.dim must be an integer"),
+        (("space", "dim"), 1, "space.dim must be an integer >= 2"),
+        (("solver", "N"), "sixteen", "solver.N must be an integer"),
+        (("solver", "N"), 8.5, "solver.N must be an integer"),
+        (("solver", "starts"), 0, "solver.starts must be an integer >= 1"),
+        (("solver", "levels"), 0, "solver.levels must be an integer >= 1"),
+        (("solver", "samples"), 0, "solver.samples must be an integer >= 1"),
+        (("solver", "tol"), "tight", "solver.tol must be a finite positive number"),
+        (("solver", "tol"), 0.0, "solver.tol must be a finite positive number"),
+        (("solver", "tol"), float("nan"), "solver.tol must be a finite positive number"),
+        (("tolerances", "girth_residual"), "loose", "tolerances.girth_residual must be"),
+        (("tolerances", "girth_resid"), 1e-6, "unknown tolerances: ['girth_resid']"),
+    ],
+)
+def test_malformed_scalar_is_config_error(tmp_path, capsys, path, value, start):
+    d = make_config("girth")
+    d.setdefault("tolerances", {})
+    d[path[0]][path[1]] = value
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+    _assert_config_exit(tmp_path, capsys, d, start)
+
+
 def test_body_from_spec_rejects_unknown_type():
     with pytest.raises(ConfigError):
         body_from_spec({"type": "simplex"}, 3)
