@@ -47,13 +47,6 @@ class GaugeBody:
         return f"GaugeBody({self.label!r}, dim={self.dim}, kind={self.kind})"
 
 
-def _as_batch(x: Array) -> Array:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :]
-    return x
-
-
 def _normalized(x: Array):
     """Split points into Euclidean norm and unit direction (for stable
     evaluation of homogeneous functions far from the unit scale)."""
@@ -234,7 +227,7 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim == 1
-    xib = _as_batch(xi)
+    xib = np.atleast_2d(xi)
     nrm, xin = _normalized(xib)
 
     def g(x):
@@ -278,14 +271,12 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
             sol = minimize(
                 lambda z: 0.5 * float(body.gauge(z) ** 2) - float(target @ z),
                 x[i],
-                jac=lambda z: np.asarray(
-                    body.gauge(z) * body.gradient(z) - target
-                ),
+                jac=lambda z: g(z) - target,
                 method="BFGS",
                 options={"gtol": 1e-12, "maxiter": 500},
             )
             x[i] = sol.x
-            res[i] = np.linalg.norm(target - body.gauge(x[i]) * body.gradient(x[i]))
+            res[i] = np.linalg.norm(target - g(x[i]))
         if np.any(res > 1e-9):
             support = np.einsum("...i,...i->...", xib, x / body.gauge(x)[..., None])
             raise NumericalFailureError(
@@ -357,20 +348,25 @@ def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
     )
 
 
-def half_sq_jet(body: GaugeBody, x: Array):
-    """Gradient and Hessian of 0.5 F^2 at a batch of points.
+def half_sq_jet(body: GaugeBody, x: Array, hessian: bool = True):
+    """F, the gradient of 0.5 F^2 and, when ``hessian`` is true, the Hessian
+    of 0.5 F^2 (else None) at a batch of points.
 
-    For a numeric dual both come from one gradient-inverse solve y of the
-    primal: grad(0.5 F*^2)(x) = F(y) * (y / F(y)), the product the dual's
-    ``gauge * gradient`` forms, and Hess(0.5 F*^2)(x) = Hess(0.5 F^2)(y)^{-1}.
-    Any other body calls its three evaluators.
+    For a numeric dual all three come from one gradient-inverse solve y of
+    the primal: F*(x) = F(y), grad(0.5 F*^2)(x) = F(y) * (y / F(y)), the
+    product the dual's ``gauge * gradient`` forms, and
+    Hess(0.5 F*^2)(x) = Hess(0.5 F^2)(y)^{-1}.  Any other body calls its
+    evaluators.
     """
     primal = body.params.get("primal") if body.kind == "dual" else None
     if primal is None:
-        return body.gauge(x)[..., None] * body.gradient(x), body.hessian_half_sq(x)
+        F = body.gauge(x)
+        H = body.hessian_half_sq(x) if hessian else None
+        return F, F[..., None] * body.gradient(x), H
     y = _solve_gradient_inverse(primal, x)
-    Fy = primal.gauge(y)[..., None]
-    return Fy * (y / Fy), np.linalg.inv(primal.hessian_half_sq(y))
+    Fy = primal.gauge(y)
+    H = np.linalg.inv(primal.hessian_half_sq(y)) if hessian else None
+    return Fy, Fy[..., None] * (y / Fy[..., None]), H
 
 
 def dual_body(body: GaugeBody) -> GaugeBody:

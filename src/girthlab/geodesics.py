@@ -160,14 +160,14 @@ def _random_circle(rng, dim: int, n: int, span: float, noise: float) -> Array:
 
 
 def _symmetric_starts(rng, dim: int, N: int, count: int) -> list:
-    """Half great circles in the coordinate planes, then perturbed random
-    ones until there are ``count``."""
+    """The first ``count`` of: half great circles in the coordinate planes,
+    then perturbed random ones."""
     eye = np.eye(dim)
     planes = [(0, 1), (0, 2), (1, 2)] if dim >= 3 else [(0, 1)]
     starts = [_great_circle(eye[i], eye[j], N, np.pi) for i, j in planes]
     while len(starts) < count:
         starts.append(_random_circle(rng, dim, N, np.pi, 0.1))
-    return starts
+    return starts[:count]
 
 
 def _upsample(x: Array, closure) -> Array:

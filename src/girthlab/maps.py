@@ -17,7 +17,13 @@ from .errors import (
     PreconditionError,
     UnsupportedInputError,
 )
-from .metric import EmbeddedSphere, conormal, minimize_along_conormal
+from .metric import (
+    EmbeddedSphere,
+    as_rows,
+    conormal,
+    line_exit_root,
+    minimize_along_conormal,
+)
 
 Array = np.ndarray
 
@@ -26,70 +32,44 @@ _BOUNDARY_BAND = 1e-8
 
 @dataclass
 class LineSphereSolution:
-    t_minus: float
-    t_plus: float
-    tangent: bool
+    """Roots t_minus <= t_plus of each conormal line, their points, and
+    whether the line is tangent (both roots at the line minimum).  Fields
+    are arrays over the rows of a batch, or scalars and vectors for a
+    single (q, p)."""
+
+    t_minus: Array
+    t_plus: Array
+    tangent: Array
     P_minus: Array
     P_plus: Array
 
 
-def _root_on_side(dual, p, n, t_inner, t_outer_guess, f_inner):
-    """Root of Fdual(p + t n) = 1 on one side of the line minimum.
-
-    Bracket by expansion away from the minimum, then bisection + Newton.
-    """
-    t_lo, f_lo = t_inner, f_inner
-    step = t_outer_guess - t_inner
-    t_hi = t_inner + step
-    for _ in range(200):
-        f_hi = float(dual.gauge(p + t_hi * n))
-        if f_hi > 1.0:
-            break
-        t_lo, f_lo = t_hi, f_hi
-        step *= 2.0
-        t_hi = t_inner + step
-    else:  # pragma: no cover - gauges grow along lines
-        raise NoIntersectionError("line never leaves the dual surface")
-    t = 0.5 * (t_lo + t_hi)
-    for _ in range(200):
-        xi = p + t * n
-        f = float(dual.gauge(xi))
-        if f > 1.0:
-            t_hi = t
-        else:
-            t_lo = t
-        df = float(dual.gradient(xi) @ n)
-        t_new = t - (f - 1.0) / df if df != 0.0 else t
-        if not (min(t_lo, t_hi) < t_new < max(t_lo, t_hi)):
-            t_new = 0.5 * (t_lo + t_hi)
-        if abs(t_new - t) <= 1e-13 * (1.0 + abs(t_new)):
-            t = t_new
-            break
-        t = t_new
-    return t
-
-
 def solve_line_sphere(sphere: EmbeddedSphere, q: Array, p: Array) -> LineSphereSolution:
-    """Both intersections of the conormal line {p + t n_q} with the dual
-    ambient unit surface."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    """Both intersections of each conormal line {p + t n_q} with the dual
+    ambient unit surface.  Batched: (q, p) of shape (m, dim) or (dim,).
+
+    Both roots of every row come from one exit-root solve, the row with n
+    giving t_plus and the row with -n giving -t_minus.  Raises
+    :class:`NoIntersectionError` when a line misses the surface.
+    """
+    q, p, single = as_rows(q, p)
     n = conormal(sphere, q)
-    dual = sphere.dual2
-    t_star, G = minimize_along_conormal(dual, p, n)
-    if G > 1.0 + _BOUNDARY_BAND:
-        raise NoIntersectionError(f"conormal line misses the dual surface (G={G})")
-    if G >= 1.0 - _BOUNDARY_BAND:
-        P = p + t_star * n
-        return LineSphereSolution(t_star, t_star, True, P.copy(), P.copy())
-    scale = max(1.0, abs(t_star))
-    t_plus = _root_on_side(dual, p, n, t_star, t_star + scale, G)
-    t_minus = _root_on_side(dual, p, n, t_star, t_star - scale, G)
-    if t_minus > t_plus:
-        t_minus, t_plus = t_plus, t_minus
-    return LineSphereSolution(
-        t_minus, t_plus, False, p + t_minus * n, p + t_plus * n
+    t_star, G = minimize_along_conormal(sphere.dual2, p, n)
+    if np.any(G > 1.0 + _BOUNDARY_BAND):
+        raise NoIntersectionError(f"conormal line misses the dual surface (G={np.max(G)})")
+    tangent = G >= 1.0 - _BOUNDARY_BAND
+    t_minus, t_plus = t_star.copy(), t_star.copy()
+    cut = ~tangent  # lines that cut the surface twice; tangent ones keep t_star
+    pc, nc, tc = p[cut], n[cut], t_star[cut]
+    s = line_exit_root(
+        sphere.dual2,
+        np.concatenate([pc, pc]),
+        np.concatenate([nc, -nc]),
+        np.concatenate([tc, -tc]),
     )
+    t_plus[cut], t_minus[cut] = s[: tc.size], -s[tc.size :]
+    fields = (t_minus, t_plus, tangent, p + t_minus[:, None] * n, p + t_plus[:, None] * n)
+    return LineSphereSolution(*(a[0] if single else a for a in fields))
 
 
 def _transposed_restriction(sphere: EmbeddedSphere, q: Array, P: Array) -> Array:
@@ -102,36 +82,32 @@ def _transposed_restriction(sphere: EmbeddedSphere, q: Array, P: Array) -> Array
 
 def phi(sphere: EmbeddedSphere, q: Array, p: Array):
     """Boundary map: tangency point of the conormal line and the transposed
-    restriction.  Requires (q, p) on the co-sphere.  Batched."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    restriction.  Requires (q, p) on the co-sphere.  Batched: (q, p) of
+    shape (m, dim) or (dim,)."""
+    q, p, single = as_rows(q, p)
     n = conormal(sphere, q)
     t_star, G = minimize_along_conormal(sphere.dual2, p, n)
-    if np.any(np.abs(np.asarray(G) - 1.0) > _BOUNDARY_BAND):
+    if np.any(np.abs(G - 1.0) > _BOUNDARY_BAND):
         raise PreconditionError("phi requires co-sphere points (G = 1)")
-    P = p + np.asarray(t_star)[..., None] * n
+    P = p + t_star[:, None] * n
     Q = _transposed_restriction(sphere, q, P)
-    return P, Q
+    return (P[0], Q[0]) if single else (P, Q)
 
 
 def Phi(sphere: EmbeddedSphere, q: Array, p: Array):
     """Interior map: the intersection point selected by the orientation rule
     (the root where the dual gauge increases along the line), with the
-    transposed restriction.  Requires (q, p) strictly inside the co-disc."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = conormal(sphere, q)
-    _, G = minimize_along_conormal(sphere.dual2, p, n)
-    if G > 1.0 - _BOUNDARY_BAND:
-        if G < 1.0 + _BOUNDARY_BAND:
-            raise IllConditionedInputError(
-                "input lies in the boundary band; use phi for co-sphere points"
-            )
-        raise NoIntersectionError(f"point is outside the co-disc (G={G})")
+    transposed restriction.  Requires (q, p) strictly inside the co-disc.
+    Batched: (q, p) of shape (m, dim) or (dim,)."""
+    q, p, single = as_rows(q, p)
     sol = solve_line_sphere(sphere, q, p)
+    if np.any(sol.tangent):
+        raise IllConditionedInputError(
+            "input lies in the boundary band; use phi for co-sphere points"
+        )
     P = sol.P_plus  # exit root: d/dt Fdual > 0 there
     Q = _transposed_restriction(sphere, q, P)
-    return P, Q
+    return (P[0], Q[0]) if single else (P, Q)
 
 
 def _require_symmetric(sphere: EmbeddedSphere):

@@ -10,7 +10,7 @@ ambient-space formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -63,6 +63,13 @@ def project_to_surface(body: GaugeBody, x: Array) -> Array:
     return np.asarray(x, dtype=float) / body.gauge(x)[..., None]
 
 
+def as_rows(a: Array, b: Array):
+    """Two float arrays as row batches, and whether ``a`` was one vector:
+    a single vector is treated as a batch of one."""
+    a = np.asarray(a, dtype=float)
+    return np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float)), a.ndim == 1
+
+
 def _require_on_surface(body: GaugeBody, q: Array, tol: float = 1e-8):
     if np.any(np.abs(body.gauge(q) - 1.0) > tol):
         raise PreconditionError("point is not on the unit surface")
@@ -84,24 +91,35 @@ def restrict_covector(sphere: EmbeddedSphere, P: Array, q: Array) -> Array:
     return P - coeff[..., None] * n
 
 
+def _slope(dual: GaugeBody, xi: Array, n: Array) -> Array:
+    """t-derivative of 0.5 * Fdual(p + t n)^2 at xi = p + t n."""
+    _, g, _ = half_sq_jet(dual, xi, hessian=False)
+    return np.einsum("...i,...i->...", g, n)
+
+
 def _phi_derivatives(dual: GaugeBody, xi: Array, n: Array):
     """First and second t-derivatives of 0.5 * Fdual(p + t n)^2 at xi = p + t n."""
-    g, H = half_sq_jet(dual, xi)
+    _, g, H = half_sq_jet(dual, xi)
     d1 = np.einsum("...i,...i->...", g, n)
     d2 = np.einsum("...i,...ij,...j->...", n, H, n)
     return d1, d2
 
 
-def _expand_bracket(dual: GaugeBody, p: Array, n: Array, end: Array, step: Array, sign: float):
+def _level_and_rate(dual: GaugeBody, xi: Array, n: Array):
+    """Fdual(p + t n) - 1 and its t-derivative at xi = p + t n."""
+    F, g, _ = half_sq_jet(dual, xi, hessian=False)
+    return F - 1.0, np.einsum("...i,...i->...", g, n) / F
+
+
+def _expand_bracket(f, p: Array, n: Array, end: Array, step: Array, sign: float):
     """Move each bracket end outward, ``end += sign * step`` with doubling
-    steps, until the slope at it has the sign of ``sign``.  After the first
-    pass only the ends still moving are evaluated.  ``end`` and ``step`` are
-    updated in place."""
+    steps, until ``f(p + end n, n)`` has the sign of ``sign``.  After the
+    first pass only the ends still moving are evaluated.  ``end`` and
+    ``step`` are updated in place."""
     idx = None  # every entry on the first pass, then the ones still moving
     for _ in range(80):
         e = end if idx is None else end[idx]
-        d1, _ = _phi_derivatives(dual, p + e[:, None] * n, n)
-        bad = sign * d1 < 0.0
+        bad = sign * f(p + e[:, None] * n, n) < 0.0
         if not np.any(bad):
             break
         idx = np.flatnonzero(bad) if idx is None else idx[bad]
@@ -110,18 +128,31 @@ def _expand_bracket(dual: GaugeBody, p: Array, n: Array, end: Array, step: Array
         step[idx] *= 2.0
 
 
-def _safeguarded_step(dual: GaugeBody, p: Array, n: Array, t: Array, lo: Array, hi: Array):
-    """One Newton step on the slope of 0.5 * Fdual(p + t n)^2.  The bracket
-    [lo, hi] first shrinks to the side of t the slope's sign allows; a step
-    that leaves it bisects it instead.  Returns (t_new, lo, hi)."""
-    d1, d2 = _phi_derivatives(dual, p + t[:, None] * n, n)
-    neg = d1 < 0.0
-    lo = np.where(neg, np.maximum(lo, t), lo)
-    hi = np.where(~neg, np.minimum(hi, t), hi)
-    dt = -d1 / d2
-    tn = t + dt
-    outside = (tn <= lo) | (tn >= hi)
-    return np.where(outside, 0.5 * (lo + hi), tn), lo, hi
+def _safeguarded_newton(f, p: Array, n: Array, t: Array, lo: Array, hi: Array, tol, scale):
+    """Root in t of ``f(p + t n, n) -> (value, t-derivative)`` for each row,
+    from t in a bracket [lo, hi] with value < 0 at lo and >= 0 at hi.  Each
+    pass shrinks the bracket to the side of t the value's sign allows and
+    takes a Newton step, or bisects when the step leaves the bracket.  A row
+    converges when its step is at most ``tol * (1 + |t|) * max(scale, 1)``;
+    only unconverged rows are evaluated.  ``t`` is updated in place."""
+    idx = np.arange(t.shape[0])
+    ta = t
+    for _ in range(100):
+        if idx.size == 0:
+            return
+        v, dv = f(p + ta[:, None] * n, n)
+        neg = v < 0.0
+        lo = np.where(neg, np.maximum(lo, ta), lo)
+        hi = np.where(~neg, np.minimum(hi, ta), hi)
+        tn = ta + -v / dv
+        del v, dv, neg  # not held while the next pass evaluates f
+        tn = np.where((tn <= lo) | (tn >= hi), 0.5 * (lo + hi), tn)
+        conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
+        t[idx] = tn
+        keep = ~conv
+        idx, p, n, ta, scale = idx[keep], p[keep], n[keep], tn[keep], scale[keep]
+        lo, hi = lo[keep], hi[keep]
+    raise NumericalFailureError(f"1-D line solve: {idx.size} rows did not converge")
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e-11):
@@ -134,11 +165,7 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     evaluators are row-independent, so the result does not depend on the
     batch an entry shares.
     """
-    p = np.asarray(p, dtype=float)
-    n = np.asarray(n, dtype=float)
-    single = p.ndim == 1
-    pb = np.atleast_2d(p)
-    nb = np.atleast_2d(n)
+    pb, nb, single = as_rows(p, n)
     m = pb.shape[0]
     t = np.zeros(m)
     val = np.zeros(m)
@@ -157,31 +184,31 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     d1, d2 = _phi_derivatives(dual, pl, nl)
     tl = -d1 / d2
 
-    # sign-change bracket by expansion
+    # sign-change bracket of the slope by expansion
+    slope = partial(_slope, dual)
     step = np.maximum(np.abs(tl), scale)
     lo = tl - step
     hi = tl + step
-    _expand_bracket(dual, pl, nl, lo, step, -1.0)
-    _expand_bracket(dual, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
+    _expand_bracket(slope, pl, nl, lo, step, -1.0)
+    _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
 
-    # safeguarded Newton on the unconverged entries, compacted together
-    idx = np.arange(tl.shape[0])
-    pa, na, ta, sa = pl, nl, tl, scale
-    for _ in range(100):
-        if idx.size == 0:
-            break
-        tn, lo, hi = _safeguarded_step(dual, pa, na, ta, lo, hi)
-        conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(sa, 1.0)
-        tl[idx] = tn
-        keep = ~conv
-        idx, pa, na, ta, sa = idx[keep], pa[keep], na[keep], tn[keep], sa[keep]
-        lo, hi = lo[keep], hi[keep]
-    if idx.size and np.any((hi - lo) > 1e-6 * np.maximum(sa, 1.0)):
-        raise NumericalFailureError("1-D conormal line minimization failed")
-
+    _safeguarded_newton(partial(_phi_derivatives, dual), pl, nl, tl, lo, hi, tol, scale)
     t[live] = tl
     val[live] = dual.gauge(pl + tl[:, None] * nl)
     return (t[0], val[0]) if single else (t, val)
+
+
+def line_exit_root(dual: GaugeBody, p: Array, n: Array, t0: Array) -> Array:
+    """Batched root t > t0 of Fdual(p + t n) = 1, for rows (p, n) of shape
+    (m, dim) with Fdual(p + t0 n) < 1 and t0 the line minimum: the point
+    where each line leaves the dual unit surface in the direction n."""
+    step = np.maximum(1.0, np.abs(t0))
+    hi = t0 + step
+    _expand_bracket(lambda xi, _: dual.gauge(xi) - 1.0, p, n, hi, step, 1.0)
+    t = 0.5 * (t0 + hi)
+    ones = np.ones(t.shape[0])
+    _safeguarded_newton(partial(_level_and_rate, dual), p, n, t, t0, hi, 1e-13, ones)
+    return t
 
 
 def induced_hamiltonian(sphere: EmbeddedSphere, q: Array, p: Array):

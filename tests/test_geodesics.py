@@ -34,6 +34,11 @@ def test_round_girth_is_two_pi(round_sphere):
     assert res.certificate["certified"]
 
 
+def test_girth_runs_fewer_starts_than_coordinate_planes(round_sphere):
+    res = girth(round_sphere, GirthOptions(N=8, starts=1))
+    assert len(res.certificate["start_lengths"]) == 1
+
+
 def test_ellipsoid_girth_matches_perimeter_oracle(euclid, aniso_ellipsoid):
     s = EmbeddedSphere(aniso_ellipsoid, euclid)
     res = girth(s, FAST)

@@ -128,6 +128,41 @@ def test_interior_map_rejects_boundary_and_outside(spheres):
         Phi(s, q[0], 2.0 * p[0])
 
 
+def test_batched_maps_equal_per_row_calls(spheres):
+    # every solver pass is row-independent, so a batch gives each row the
+    # bits of its own call; row 0 is a co-sphere point, so its line is tangent
+    for s in spheres:
+        q, p = sample_cosphere(s, 8, np.random.default_rng(13))
+        p[1:] *= np.random.default_rng(14).uniform(0.1, 0.9, size=7)[:, None]
+        sol = solve_line_sphere(s, q, p)
+        assert sol.tangent.tolist() == [True] + [False] * 7
+        P, Q = Phi(s, q[1:], p[1:])
+        R, S = Psi(s, q[1:], p[1:])
+        for i in range(8):
+            row = solve_line_sphere(s, q[i], p[i])
+            for f in ("t_minus", "t_plus", "tangent", "P_minus", "P_plus"):
+                assert getattr(row, f).tobytes() == getattr(sol, f)[i].tobytes()
+        for i in range(7):
+            rows = Phi(s, q[i + 1], p[i + 1]) + Psi(s, q[i + 1], p[i + 1])
+            for whole, part in zip((P, Q, R, S), rows):
+                assert whole[i].tobytes() == part.tobytes()
+
+
+def test_interior_map_batch_rejects_one_bad_row(spheres):
+    s = spheres[0]
+    q, p = sample_cosphere(s, 6, np.random.default_rng(15))
+    band = 0.5 * p
+    band[3] = p[3]
+    with pytest.raises(IllConditionedInputError):
+        Phi(s, q, band)
+    outside = 0.5 * p
+    outside[3] = 2.0 * p[3]
+    with pytest.raises(NoIntersectionError):
+        Phi(s, q, outside)
+    with pytest.raises(NoIntersectionError):
+        solve_line_sphere(s, q, outside)
+
+
 def test_symmetrized_maps_require_symmetric_bodies(spheres):
     s = spheres[0]
     s.body2.symmetric = False

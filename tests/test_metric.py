@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from girthlab import (
     EmbeddedSphere,
+    NumericalFailureError,
     PreconditionError,
     cosphere_lift,
     dual_body,
@@ -18,7 +19,7 @@ from girthlab import (
     sample_cosphere,
 )
 from girthlab.bodies import half_sq_jet
-from girthlab.metric import conormal, minimize_along_conormal
+from girthlab.metric import conormal, line_exit_root, minimize_along_conormal
 
 from oracles import polygon_length
 
@@ -107,13 +108,27 @@ def test_line_minimization_skips_converged_entries(pm_body):
     assert counts["points"] < len(p) * counts["calls"]
 
 
+def test_line_exit_root_raises_when_unconverged(aniso_ellipsoid):
+    # a NaN derivative never gives a converged Newton step; the solver
+    # raises instead of returning its last iterate
+    broken = dataclasses.replace(aniso_ellipsoid, gradient=lambda x: np.full(np.shape(x), np.nan))
+    p, n = np.array([[0.0, 0.3, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+    assert line_exit_root(aniso_ellipsoid, p, n, np.zeros(1))[0] == pytest.approx(np.sqrt(1.0 - 0.09 * 1.5625))
+    with pytest.raises(NumericalFailureError):
+        line_exit_root(broken, p, n, np.zeros(1))
+
+
 @pytest.mark.parametrize("which", ["numeric_dual", "power_mean"])
 def test_half_sq_jet_matches_evaluators(which, pm_body):
     body = dual_body(pm_body) if which == "numeric_dual" else pm_body
     x = np.random.default_rng(2).standard_normal((30, 3))
-    g, H = half_sq_jet(body, x)
+    F, g, H = half_sq_jet(body, x)
+    np.testing.assert_allclose(F, body.gauge(x), rtol=0, atol=1e-13)
     np.testing.assert_allclose(g, body.gauge(x)[:, None] * body.gradient(x), rtol=0, atol=1e-13)
     np.testing.assert_allclose(H, body.hessian_half_sq(x), rtol=0, atol=1e-13)
+    # skipping the Hessian leaves F and the gradient bit for bit as they were
+    F1, g1, H1 = half_sq_jet(body, x, hessian=False)
+    assert H1 is None and F1.tobytes() == F.tobytes() and g1.tobytes() == g.tobytes()
 
 
 def test_round_hamiltonian_is_tangent_norm(round_sphere):

@@ -1,0 +1,38 @@
+"""The benchmark's tracer (perfbench/spans.py) wraps girthlab functions and
+GaugeBody evaluator fields by name.  A refactor that renames or deletes one
+would only show up as a crash in the traced benchmark run; this test reads
+the names the tracer uses and checks that girthlab still binds each."""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+import girthlab
+from girthlab import GaugeBody
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_are_bound_in_girthlab():
+    spans = _spans()
+    missing = [m for m in spans.MODULES if getattr(girthlab, m, None) is None]
+    missing += [
+        f"{mod}.{name}"
+        for mod, name in spans.FUNCTIONS
+        if not callable(getattr(getattr(girthlab, mod, None), name, None))
+    ]
+    missing += [
+        f"{mod}.minimize"
+        for mod in spans.MINIMIZE
+        if not callable(getattr(getattr(girthlab, mod, None), "minimize", None))
+    ]
+    assert not missing, f"traced functions no longer bound: {missing}"
+    fields = {f.name for f in dataclasses.fields(GaugeBody)}
+    assert set(spans.EVALUATORS) <= fields
