@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
+from .bodies import half_sq_jet
 from .errors import PreconditionError, UnsupportedInputError
 from .metric import (
     CoSpherePoint,
@@ -121,10 +122,10 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
     F1 = body1.gauge(y)
     x = y / F1[:, None]
     c = np.diff(_chain(x, closure), axis=0)
-    Fc = body2.gauge(c)
+    Fc, Fgrad, _ = half_sq_jet(body2, c, hessian=False)
     m = 2 * n if closure == "symmetric" else len(c)
     E = m * float(np.sum(Fc**2))
-    w = (2.0 * m) * Fc[:, None] * body2.gradient(c)
+    w = (2.0 * m) * Fgrad
     gV = np.zeros((len(c) + 1, x.shape[1]))
     gV[1:] += w
     gV[:-1] -= w

@@ -128,30 +128,43 @@ def _expand_bracket(f, p: Array, n: Array, end: Array, step: Array, sign: float)
         step[idx] *= 2.0
 
 
-def _safeguarded_newton(f, p: Array, n: Array, t: Array, lo: Array, hi: Array, tol, scale):
+def _safeguarded_newton(
+    f, p: Array, n: Array, t: Array, lo: Array, hi: Array, tol, scale, widen=None
+):
     """Root in t of ``f(p + t n, n) -> (value, t-derivative)`` for each row,
     from t in a bracket [lo, hi] with value < 0 at lo and >= 0 at hi.  Each
     pass shrinks the bracket to the side of t the value's sign allows and
-    takes a Newton step, or bisects when the step leaves the bracket.  A row
-    converges when its step is at most ``tol * (1 + |t|) * max(scale, 1)``;
-    only unconverged rows are evaluated.  ``t`` is updated in place."""
+    takes a Newton step, or bisects when the step leaves the bracket (a step
+    onto an end, such as an exact root, is kept).  A row converges when its
+    step is at most ``tol * (1 + |t|) * max(scale, 1)``; only unconverged
+    rows are evaluated.  ``t`` is updated in place.  With ``widen``, [lo, hi]
+    is a first guess: unless every first step converges inside it,
+    ``widen(lo, hi)`` makes it a bracket in place and the pass is redone."""
     idx = np.arange(t.shape[0])
     ta = t
     for _ in range(100):
         if idx.size == 0:
             return
         v, dv = f(p + ta[:, None] * n, n)
-        neg = v < 0.0
-        lo = np.where(neg, np.maximum(lo, ta), lo)
-        hi = np.where(~neg, np.minimum(hi, ta), hi)
-        tn = ta + -v / dv
-        del v, dv, neg  # not held while the next pass evaluates f
-        tn = np.where((tn <= lo) | (tn >= hi), 0.5 * (lo + hi), tn)
-        conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
+        neg, step = v < 0.0, -v / dv
+        del v, dv  # not held while the next evaluation of f runs
+        while True:
+            lo1 = np.where(neg, np.maximum(lo, ta), lo)
+            hi1 = np.where(~neg, np.minimum(hi, ta), hi)
+            tn = ta + step
+            out = (tn < lo1) | (tn > hi1)
+            tn = np.where(out, 0.5 * (lo1 + hi1), tn)
+            conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
+            if widen is None or np.all(conv & ~out):
+                break
+            del lo1, hi1, tn, out, conv
+            widen(lo, hi)
+            widen = None
+        del neg, step, out
         t[idx] = tn
         keep = ~conv
         idx, p, n, ta, scale = idx[keep], p[keep], n[keep], tn[keep], scale[keep]
-        lo, hi = lo[keep], hi[keep]
+        lo, hi = lo1[keep], hi1[keep]
     raise NumericalFailureError(f"1-D line solve: {idx.size} rows did not converge")
 
 
@@ -181,18 +194,16 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
     scale = pn / np.linalg.norm(nl, axis=-1)
 
     # initial Newton step from t = 0
-    d1, d2 = _phi_derivatives(dual, pl, nl)
-    tl = -d1 / d2
-
-    # sign-change bracket of the slope by expansion
-    slope = partial(_slope, dual)
+    tl = -np.divide(*_phi_derivatives(dual, pl, nl))
     step = np.maximum(np.abs(tl), scale)
-    lo = tl - step
-    hi = tl + step
-    _expand_bracket(slope, pl, nl, lo, step, -1.0)
-    _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
 
-    _safeguarded_newton(partial(_phi_derivatives, dual), pl, nl, tl, lo, hi, tol, scale)
+    def widen(lo, hi):  # sign-change bracket of the slope by expansion
+        slope = partial(_slope, dual)
+        _expand_bracket(slope, pl, nl, lo, step, -1.0)
+        _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
+
+    derivs = partial(_phi_derivatives, dual)
+    _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, tol, scale, widen)
     t[live] = tl
     val[live] = dual.gauge(pl + tl[:, None] * nl)
     return (t[0], val[0]) if single else (t, val)

@@ -12,8 +12,10 @@ from girthlab import (
     induced_hamiltonian,
     length_spectrum_probe,
     make_ellipsoid,
+    sample_cosphere,
     shortest_path_length,
 )
+from girthlab import metric
 from girthlab.geodesics import (
     DiscreteSymmetricCurve,
     _energy_and_grad,
@@ -120,6 +122,26 @@ def test_flow_follows_girth_geodesic(euclid, aniso_ellipsoid):
     assert traj.closure_residual <= 1e-4
 
 
+def test_flow_on_numeric_dual_ambient(monkeypatch, aniso_ellipsoid, pm_body):
+    # dual2 is the numeric dual of pm4: no Newton step from t = 0 is exact,
+    # so the conormal minimizer expands its bracket on every call
+    expand = metric._expand_bracket
+    expanded = []
+
+    def counted(*args):
+        expanded.append(1)
+        return expand(*args)
+
+    monkeypatch.setattr(metric, "_expand_bracket", counted)
+    s = EmbeddedSphere(aniso_ellipsoid, pm_body)
+    q, p = sample_cosphere(s, 1, np.random.default_rng(0))
+    traj = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 0.5, 0.5 / 64)
+    assert expanded
+    assert traj.g_drift <= 1e-10
+    G = induced_hamiltonian(s, traj.qs, traj.ps)
+    np.testing.assert_allclose(G, 1.0, atol=1e-10)
+
+
 def test_shortest_path_between_nearby_points(round_sphere):
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([np.cos(0.5), np.sin(0.5), 0.0])
@@ -149,13 +171,24 @@ def test_spectrum_probe_single_level(round_sphere):
     assert min(abs(v - 64.0 * np.sin(np.pi / 32.0)) for v in lengths) <= 1e-8
 
 
-@pytest.mark.parametrize("closure", ["symmetric", "closed", "path"])
-def test_energy_gradient_matches_finite_differences(closure, pm_body6, tilted_ellipsoid):
+# the swapped sphere's ambient is the numeric dual of pm6, so its chords'
+# gauge and gradient come from the gradient inverse
+ENERGY_CASES = [
+    pytest.param(closure, swapped, id=closure + ("-swapped" if swapped else ""))
+    for swapped in (False, True)
+    for closure in ("symmetric", "closed", "path")
+]
+
+
+@pytest.mark.parametrize("closure, swapped", ENERGY_CASES)
+def test_energy_gradient_matches_finite_differences(closure, swapped, pm_body6, tilted_ellipsoid):
     sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    if swapped:
+        sphere = sphere.swapped()
     rng = np.random.default_rng(7)
     if closure == "path":
-        a = project_to_surface(pm_body6, np.array([1.0, 0.2, -0.3]))
-        b = project_to_surface(pm_body6, np.array([-0.1, 1.0, 0.6]))
+        a = project_to_surface(sphere.body1, np.array([1.0, 0.2, -0.3]))
+        b = project_to_surface(sphere.body1, np.array([-0.1, 1.0, 0.6]))
         y = _slerp_arc(a, b, 9, rng)[1:-1]
         closure = (a, b)
     else:

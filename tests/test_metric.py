@@ -19,7 +19,12 @@ from girthlab import (
     sample_cosphere,
 )
 from girthlab.bodies import half_sq_jet
-from girthlab.metric import conormal, line_exit_root, minimize_along_conormal
+from girthlab.metric import (
+    _safeguarded_newton,
+    conormal,
+    line_exit_root,
+    minimize_along_conormal,
+)
 
 from oracles import polygon_length
 
@@ -106,6 +111,55 @@ def test_line_minimization_skips_converged_entries(pm_body):
     t, _ = minimize_along_conormal(body, p, n)
     assert np.all(np.abs(t[1:]) < 1e-9) and abs(t[0]) > 1e-3
     assert counts["points"] < len(p) * counts["calls"]
+
+
+@pytest.mark.parametrize("which", ["tilted_ellipsoid", "aniso_ellipsoid"])
+def test_line_minimization_matches_ellipsoid_closed_form(which, request):
+    # the dual of an ellipsoid x'Ax is the ellipsoid xi'Bxi with B = A^-1,
+    # and t -> (p + t n)'B(p + t n) is least at t* = -(n'Bp) / (n'Bn)
+    dual = dual_body(request.getfixturevalue(which))
+    B = dual.params["A"]
+    r = np.random.default_rng(3)
+    p, n = r.standard_normal((2000, 3)), r.standard_normal((2000, 3))
+    t_star = -np.einsum("ki,ij,kj->k", n, B, p) / np.einsum("ki,ij,kj->k", n, B, n)
+    t, _ = minimize_along_conormal(dual, p, n)
+    assert np.all(np.abs(t - t_star) <= 1e-13 * (1.0 + np.abs(t_star)))
+    for i in range(0, len(p), 10):
+        ti, _ = minimize_along_conormal(dual, p[i], n[i])
+        assert abs(ti - t_star[i]) <= 1e-13 * (1.0 + abs(t_star[i]))
+
+
+def test_safeguarded_newton_keeps_exact_root():
+    # the first iterate is an exact root: its Newton step lands on the end of
+    # the bracket it closes, and the solver must keep it after one pass
+    calls = []
+
+    def f(xi, n):
+        calls.append(len(xi))
+        return xi[:, 0] - 0.5, np.ones(len(xi))
+
+    t = np.array([0.5])
+    ones = np.ones(1)
+    _safeguarded_newton(f, np.zeros((1, 1)), np.ones((1, 1)), t, np.zeros(1), ones, 1e-13, ones)
+    assert t[0] == 0.5 and calls == [1]
+
+
+def test_settled_line_skips_bracket(tilted_ellipsoid):
+    # on a quadratic dual the Newton step from t = 0 is exact, so one more
+    # evaluation settles the line: no bracket is expanded
+    dual = dual_body(tilted_ellipsoid)
+    counts = {"gradient": 0}
+
+    def counted(x):
+        counts["gradient"] += 1
+        return dual.gradient(x)
+
+    body = dataclasses.replace(dual, gradient=counted)
+    p, n = np.array([0.3, -0.7, 0.2]), np.array([0.5, 0.4, 1.1])
+    t, _ = minimize_along_conormal(body, p, n)
+    assert counts["gradient"] <= 2
+    B = dual.params["A"]
+    assert t == pytest.approx(-(n @ B @ p) / (n @ B @ n), rel=1e-13)
 
 
 def test_line_exit_root_raises_when_unconverged(aniso_ellipsoid):
