@@ -1,10 +1,12 @@
 """Smooth convex bodies represented by their Minkowski gauges.
 
 A body is described by a positively 1-homogeneous gauge ``F`` whose unit
-level set is the boundary surface, together with analytic first and second
-derivatives.  Everything downstream (duality maps, geodesic solvers,
-volume quadratures) consumes bodies only through this interface, and all
-evaluators are batched: an array of shape ``(..., n)`` of points yields
+level set is the boundary surface.  Its one evaluator is the jet
+``body.jet(x, order)``: F, grad F and Hess(0.5 F^2) up to ``order`` from one
+pass over the points, so a caller that needs several of them at one point
+evaluates it once.  Everything downstream (duality maps, geodesic solvers,
+volume quadratures) consumes bodies only through this interface, and every
+evaluation is batched: an array of shape ``(..., n)`` of points yields
 gauge values of shape ``(...,)``.
 
 Two analytic families are provided, ellipsoids and even-exponent power
@@ -29,19 +31,29 @@ Array = np.ndarray
 class GaugeBody:
     """A quadratically convex body given by its gauge and derivatives.
 
-    ``gauge`` is positively 1-homogeneous, ``gradient`` is its (Euclidean
-    coordinate) gradient and ``hessian_half_sq`` is the Hessian of
-    ``0.5 * gauge**2``.  ``symmetric`` flags gauges with F(-x) = F(x).
+    ``jet(x, order)`` is the one evaluator: it returns ``(F, grad F,
+    Hess(0.5 F^2))`` at a batch of points up to ``order`` in {0, 1, 2}, with
+    None for the orders not asked for.  F is positively 1-homogeneous and
+    its gradient is taken in Euclidean coordinates.  ``gauge``, ``gradient``
+    and ``hessian_half_sq`` are the jet's three components, one at a time.
+    ``symmetric`` flags gauges with F(-x) = F(x).
     """
 
     dim: int
-    gauge: Callable[[Array], Array]
-    gradient: Callable[[Array], Array]
-    hessian_half_sq: Callable[[Array], Array]
+    jet: Callable[[Array, int], tuple]
     symmetric: bool
     label: str
     kind: str = "generic"
     params: dict = field(default_factory=dict)
+    gauge: Callable[[Array], Array] = field(init=False)
+    gradient: Callable[[Array], Array] = field(init=False)
+    hessian_half_sq: Callable[[Array], Array] = field(init=False)
+
+    def __post_init__(self):
+        jet = self.jet
+        self.gauge = lambda x: jet(x, 0)[0]
+        self.gradient = lambda x: jet(x, 1)[1]
+        self.hessian_half_sq = lambda x: jet(x, 2)[2]
 
     def __repr__(self):  # pragma: no cover - cosmetic
         return f"GaugeBody({self.label!r}, dim={self.dim}, kind={self.kind})"
@@ -68,24 +80,16 @@ def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
         raise RejectedInputError("ellipsoid matrix must be positive definite")
     n = A.shape[0]
 
-    def gauge(x):
+    def jet(x, order):
         x = np.asarray(x, dtype=float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", x, A, x))
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        Ax = np.einsum("ij,...j->...i", A, x)
-        return Ax / gauge(x)[..., None]
-
-    def hessian_half_sq(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(A, x.shape[:-1] + (n, n)).copy()
+        F = np.sqrt(np.einsum("...i,ij,...j->...", x, A, x))
+        g = np.einsum("ij,...j->...i", A, x) / F[..., None] if order else None
+        H = np.tile(A, x.shape[:-1] + (1, 1)) if order == 2 else None
+        return F, g, H
 
     return GaugeBody(
         dim=n,
-        gauge=gauge,
-        gradient=gradient,
-        hessian_half_sq=hessian_half_sq,
+        jet=jet,
         symmetric=True,
         label=label or "ellipsoid",
         kind="ellipsoid",
@@ -118,32 +122,22 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
     stack = np.stack(mats)  # (k, n, n)
     half = p // 2
 
-    def _core(xhat):
+    def jet(x, order):
+        r, xhat = _normalized(np.asarray(x, dtype=float))
         # s_i = x^T A_i x for unit-scale points
         Ax = np.einsum("kij,...j->...ki", stack, xhat)
         s = np.einsum("...ki,...i->...k", Ax, xhat)
         S = np.sum(s**half, axis=-1)
-        return Ax, s, S
-
-    def gauge(x):
-        r, xhat = _normalized(np.asarray(x, dtype=float))
-        _, _, S = _core(xhat)
-        return r * S ** (1.0 / p)
-
-    def gradient(x):
-        # 0-homogeneous: evaluate on unit directions
-        _, xhat = _normalized(np.asarray(x, dtype=float))
-        Ax, s, S = _core(xhat)
+        F = r * S ** (1.0 / p)
+        if order == 0:
+            return F, None, None
+        # the gradient and the Hessian of 0.5 F^2 = 0.5 S^{2/p} are
+        # 0-homogeneous: evaluate them on unit directions
         w = s ** (half - 1)  # s^{p/2 - 1}
         u = np.einsum("...k,...ki->...i", w, Ax)
-        return S[..., None] ** (1.0 / p - 1.0) * u
-
-    def hessian_half_sq(x):
-        # Hessian of 0.5 F^2 = 0.5 S^{2/p}; also 0-homogeneous.
-        _, xhat = _normalized(np.asarray(x, dtype=float))
-        Ax, s, S = _core(xhat)
-        w = s ** (half - 1)
-        u = np.einsum("...k,...ki->...i", w, Ax)
+        g = S[..., None] ** (1.0 / p - 1.0) * u
+        if order == 1:
+            return F, g, None
         c = 2.0 / p - 1.0
         # d u / d x = sum_k [ w_k A_k + (p - 2) s_k^{p/2-2} (A_k x)(A_k x)^T ]
         du = np.einsum("...k,kij->...ij", w, stack)
@@ -155,13 +149,11 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
         H = H + (c * p) * (S ** (c - 1.0))[..., None, None] * np.einsum(
             "...i,...j->...ij", u, u
         )
-        return H
+        return F, g, H
 
     return GaugeBody(
         dim=n,
-        gauge=gauge,
-        gradient=gradient,
-        hessian_half_sq=hessian_half_sq,
+        jet=jet,
         symmetric=True,
         label=label or f"power_mean(p={p},k={len(mats)})",
         kind="power_mean",
@@ -174,11 +166,14 @@ def scale_body(body: GaugeBody, lam: float, label: Optional[str] = None) -> Gaug
     shrunk by ``lam``."""
     if lam <= 0:
         raise RejectedInputError("scale factor must be positive")
+
+    def jet(x, order):
+        F, g, H = body.jet(x, order)
+        return lam * F, None if g is None else lam * g, None if H is None else lam**2 * H
+
     return GaugeBody(
         dim=body.dim,
-        gauge=lambda x: lam * body.gauge(x),
-        gradient=lambda x: lam * body.gradient(x),
-        hessian_half_sq=lambda x: lam**2 * body.hessian_half_sq(x),
+        jet=jet,
         symmetric=body.symmetric,
         label=label or f"{lam}*{body.label}",
         kind="scaled",
@@ -231,7 +226,7 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
     nrm, xin = _normalized(xib)
 
     def g(x):
-        return body.gauge(x)[..., None] * body.gradient(x)
+        return half_sq_jet(body, x, hessian=False)[1]
 
     x = np.linalg.solve(body.hessian_half_sq(xin), xin[..., None])[..., 0]
     r = xin - g(x)
@@ -302,11 +297,10 @@ def dual_gauge(body: GaugeBody, xi: Array) -> Array:
 
 def legendre(body: GaugeBody, q: Array) -> Array:
     """Supporting covector xi with <xi, q> = 1 at a point q on the unit surface."""
-    q = np.asarray(q, dtype=float)
-    Fq = body.gauge(q)
+    Fq, g, _ = body.jet(np.asarray(q, dtype=float), 1)
     if np.any(np.abs(Fq - 1.0) > 1e-9):
         raise PreconditionError("legendre requires points on the unit surface")
-    return body.gradient(q)
+    return g
 
 
 def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
@@ -321,26 +315,22 @@ def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
 
 def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
     """Dual body with F*, grad F* and Hess(0.5 F*^2) obtained from the primal
-    by gradient inversion (no closed form assumed)."""
+    by gradient inversion (no closed form assumed).
 
-    def gauge(xi):
-        return dual_gauge(body, xi)
+    The jet takes one gradient-inverse solve y of the primal and the
+    primal's jet there: F*(xi) = F(y), grad F*(xi) = y / F(y) and
+    Hess(0.5 F*^2)(xi) = Hess(0.5 F^2)(y)^{-1}.
+    """
 
-    def gradient(xi):
-        x = _solve_gradient_inverse(body, xi)
-        return x / body.gauge(x)[..., None]
-
-    def hessian_half_sq(xi):
-        xi = np.asarray(xi, dtype=float)
-        _, xin = _normalized(xi)
-        x = _solve_gradient_inverse(body, xin)
-        return np.linalg.inv(body.hessian_half_sq(x))
+    def jet(xi, order):
+        y = _solve_gradient_inverse(body, xi)
+        Fy, _, Hy = body.jet(y, 2 if order == 2 else 0)
+        g = y / Fy[..., None] if order else None
+        return Fy, g, None if Hy is None else np.linalg.inv(Hy)
 
     return GaugeBody(
         dim=body.dim,
-        gauge=gauge,
-        gradient=gradient,
-        hessian_half_sq=hessian_half_sq,
+        jet=jet,
         symmetric=body.symmetric,
         label=label or f"dual({body.label})",
         kind="dual",
@@ -350,23 +340,9 @@ def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
 
 def half_sq_jet(body: GaugeBody, x: Array, hessian: bool = True):
     """F, the gradient of 0.5 F^2 and, when ``hessian`` is true, the Hessian
-    of 0.5 F^2 (else None) at a batch of points.
-
-    For a numeric dual all three come from one gradient-inverse solve y of
-    the primal: F*(x) = F(y), grad(0.5 F*^2)(x) = F(y) * (y / F(y)), the
-    product the dual's ``gauge * gradient`` forms, and
-    Hess(0.5 F*^2)(x) = Hess(0.5 F^2)(y)^{-1}.  Any other body calls its
-    evaluators.
-    """
-    primal = body.params.get("primal") if body.kind == "dual" else None
-    if primal is None:
-        F = body.gauge(x)
-        H = body.hessian_half_sq(x) if hessian else None
-        return F, F[..., None] * body.gradient(x), H
-    y = _solve_gradient_inverse(primal, x)
-    Fy = primal.gauge(y)
-    H = np.linalg.inv(primal.hessian_half_sq(y)) if hessian else None
-    return Fy, Fy[..., None] * (y / Fy[..., None]), H
+    of 0.5 F^2 (else None) at a batch of points, from one jet."""
+    F, g, H = body.jet(x, 2 if hessian else 1)
+    return F, F[..., None] * g, H
 
 
 def dual_body(body: GaugeBody) -> GaugeBody:
@@ -395,8 +371,8 @@ def check_quadratic_convexity(body: GaugeBody, n_samples: int, seed: int) -> flo
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, body.dim))
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    H = body.hessian_half_sq(x)
-    T = tangent_basis(body.gradient(x))
+    _, g, H = body.jet(x, 2)
+    T = tangent_basis(g)
     B = np.einsum("...ia,...ij,...jb->...ab", T, H, T)
     B = 0.5 * (B + np.swapaxes(B, -1, -2))
     eigs = np.linalg.eigvalsh(B)

@@ -25,6 +25,7 @@ from .errors import PreconditionError, UnsupportedInputError
 from .metric import (
     CoSpherePoint,
     EmbeddedSphere,
+    _line_minimum,
     induced_hamiltonian,
     minimize_along_conormal,
     project_to_surface,
@@ -119,7 +120,7 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
     respect to the free vertices y."""
     body1, body2 = sphere.body1, sphere.body2
     n = y.shape[0]
-    F1 = body1.gauge(y)
+    F1, grad1, _ = body1.jet(y, 1)
     x = y / F1[:, None]
     c = np.diff(_chain(x, closure), axis=0)
     Fc, Fgrad, _ = half_sq_jet(body2, c, hessian=False)
@@ -139,7 +140,6 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
     else:
         g = gV[1:-1]
     # chain rule through the radial projection
-    grad1 = body1.gradient(y)
     xg = np.einsum("ij,ij->i", x, g)
     gy = (g - xg[:, None] * grad1) / F1[:, None]
     return E, gy
@@ -358,13 +358,8 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
 
 
 def _hamiltonian_field(sphere: EmbeddedSphere, q: Array, p: Array):
-    body1 = sphere.body1
-    n = body1.gradient(q)
-    t, _ = minimize_along_conormal(sphere.dual2, p, n)
-    xi = p + t * n
-    m = sphere.dual2.gradient(xi)
-    F1 = body1.gauge(q)
-    H1 = body1.hessian_half_sq(q)
+    F1, n, H1 = sphere.body1.jet(q, 2)
+    t, _, m = _line_minimum(sphere.dual2, p, n, 1)
     hessF1 = (H1 - np.outer(n, n)) / F1
     return m, -t * (hessF1 @ m)
 
@@ -377,6 +372,8 @@ def characteristic_flow(
     radially re-projected, the covector re-canonicalized and rescaled back
     to the unit level.  The flow parameter is ambient-norm arclength of the
     base curve."""
+    if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
+        raise PreconditionError(f"T and dt must be finite and positive, got {T!r}, {dt!r}")
     q = np.asarray(start.q, dtype=float).copy()
     p = np.asarray(start.p, dtype=float).copy()
     G0 = float(induced_hamiltonian(sphere, q, p))

@@ -19,6 +19,7 @@ from .errors import (
 )
 from .metric import (
     EmbeddedSphere,
+    _line_minimum,
     as_rows,
     conormal,
     line_exit_root,
@@ -72,10 +73,9 @@ def solve_line_sphere(sphere: EmbeddedSphere, q: Array, p: Array) -> LineSphereS
     return LineSphereSolution(*(a[0] if single else a for a in fields))
 
 
-def _transposed_restriction(sphere: EmbeddedSphere, q: Array, P: Array) -> Array:
+def _transposed_restriction(q: Array, P: Array, m: Array) -> Array:
     """Canonical representative of q restricted to the tangent plane of the
-    dual ambient surface at P."""
-    m = sphere.dual2.gradient(P)
+    dual ambient surface at P, where the dual gauge has gradient m."""
     coeff = np.einsum("...i,...i->...", P, q)
     return q - coeff[..., None] * m
 
@@ -86,11 +86,11 @@ def phi(sphere: EmbeddedSphere, q: Array, p: Array):
     shape (m, dim) or (dim,)."""
     q, p, single = as_rows(q, p)
     n = conormal(sphere, q)
-    t_star, G = minimize_along_conormal(sphere.dual2, p, n)
+    t_star, G, m = _line_minimum(sphere.dual2, p, n, 1)
     if np.any(np.abs(G - 1.0) > _BOUNDARY_BAND):
         raise PreconditionError("phi requires co-sphere points (G = 1)")
     P = p + t_star[:, None] * n
-    Q = _transposed_restriction(sphere, q, P)
+    Q = _transposed_restriction(q, P, m)
     return (P[0], Q[0]) if single else (P, Q)
 
 
@@ -106,7 +106,7 @@ def Phi(sphere: EmbeddedSphere, q: Array, p: Array):
             "input lies in the boundary band; use phi for co-sphere points"
         )
     P = sol.P_plus  # exit root: d/dt Fdual > 0 there
-    Q = _transposed_restriction(sphere, q, P)
+    Q = _transposed_restriction(q, P, sphere.dual2.gradient(P))
     return (P[0], Q[0]) if single else (P, Q)
 
 

@@ -118,8 +118,7 @@ def _ht_volume_once(
     wq = W.ravel()
 
     u, du_dmu, du_dphi = _sphere_chart(mu, ph)
-    F1 = body1.gauge(u)
-    g1 = body1.gradient(u)  # 0-homogeneous: same at q
+    F1, g1, _ = body1.jet(u, 1)  # g1 is 0-homogeneous: the same at q
     q = u / F1[:, None]
 
     def chart_partial(du):
@@ -254,8 +253,8 @@ def crofton_line_measure(
             remaining -= k
             u = rng.standard_normal((k, 3))
             u /= np.linalg.norm(u, axis=-1, keepdims=True)
-            Fs = dual.gauge(u)
-            gs = dual.gradient(u)  # supporting point of P; also grad of dual gauge
+            # gs: grad of the dual gauge, the supporting point of P
+            Fs, gs, _ = dual.jet(u, 1)
             P = u / Fs[:, None]
             Tt = tangent_basis(u)
             t1, t2 = Tt[..., 0], Tt[..., 1]

@@ -137,14 +137,15 @@ def _safeguarded_newton(
     takes a Newton step, or bisects when the step leaves the bracket (a step
     onto an end, such as an exact root, is kept).  A row converges when its
     step is at most ``tol * (1 + |t|) * max(scale, 1)``; only unconverged
-    rows are evaluated.  ``t`` is updated in place.  With ``widen``, [lo, hi]
-    is a first guess: unless every first step converges inside it,
-    ``widen(lo, hi)`` makes it a bracket in place and the pass is redone."""
+    rows are evaluated, and the solver returns once every row has converged.
+    ``t`` is updated in place.  With ``widen``, [lo, hi] is a first guess:
+    unless every first step converges inside it, ``widen(lo, hi)`` makes it
+    a bracket in place and the pass is redone."""
+    if t.size == 0:
+        return
     idx = np.arange(t.shape[0])
     ta = t
     for _ in range(100):
-        if idx.size == 0:
-            return
         v, dv = f(p + ta[:, None] * n, n)
         neg, step = v < 0.0, -v / dv
         del v, dv  # not held while the next evaluation of f runs
@@ -162,21 +163,25 @@ def _safeguarded_newton(
             widen = None
         del neg, step, out
         t[idx] = tn
+        if conv.all():
+            return
         keep = ~conv
         idx, p, n, ta, scale = idx[keep], p[keep], n[keep], tn[keep], scale[keep]
         lo, hi = lo1[keep], hi1[keep]
     raise NumericalFailureError(f"1-D line solve: {idx.size} rows did not converge")
 
 
-def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e-11):
-    """Batched minimizer of t -> Fdual(p + t n).
+def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int, tol: float = 1e-11):
+    """Batched minimizer of t -> Fdual(p + t n), with the dual's jet at the
+    minimum xi* = p + t* n up to ``order`` (0 or 1).
 
-    Returns (t_star, value).  Works on the strictly convex square of the
-    dual gauge with a safeguarded Newton iteration (bisection fallback on a
-    sign-change bracket).  Entries with p = 0 short-circuit to t = 0.
-    Every pass evaluates only the entries that have not yet converged;
-    evaluators are row-independent, so the result does not depend on the
-    batch an entry shares.
+    Returns (t*, Fdual(xi*), grad Fdual(xi*) or None).  Works on the
+    strictly convex square of the dual gauge with a safeguarded Newton
+    iteration (bisection fallback on a sign-change bracket).  Entries with
+    p = 0 short-circuit to t = 0 and value 0, with a NaN gradient.  Every
+    pass evaluates only the entries that have not yet converged; evaluators
+    are row-independent, so the result does not depend on the batch an
+    entry shares.
     """
     pb, nb, single = as_rows(p, n)
     m = pb.shape[0]
@@ -185,28 +190,40 @@ def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e
 
     pnorm = np.linalg.norm(pb, axis=-1)
     live = ~(pnorm < 1e-300)
-    if not np.any(live):
-        return (t[0], val[0]) if single else (t, val)
+    # a nonempty batch without zero rows takes the closing jet's gradient as it is
+    grad = np.full(pb.shape, np.nan) if order and (m == 0 or not live.all()) else None
+    if np.any(live):
+        # gather only when some entry is zero: copies of the whole batch
+        # would sit beside the Newton loop's compacted arrays
+        pl, nl, pn = (pb, nb, pnorm) if live.all() else (pb[live], nb[live], pnorm[live])
+        scale = pn / np.linalg.norm(nl, axis=-1)
 
-    # gather only when some entry is zero: copies of the whole batch would
-    # sit beside the Newton loop's compacted arrays
-    pl, nl, pn = (pb, nb, pnorm) if live.all() else (pb[live], nb[live], pnorm[live])
-    scale = pn / np.linalg.norm(nl, axis=-1)
+        # initial Newton step from t = 0
+        tl = -np.divide(*_phi_derivatives(dual, pl, nl))
+        step = np.maximum(np.abs(tl), scale)
 
-    # initial Newton step from t = 0
-    tl = -np.divide(*_phi_derivatives(dual, pl, nl))
-    step = np.maximum(np.abs(tl), scale)
+        def widen(lo, hi):  # sign-change bracket of the slope by expansion
+            slope = partial(_slope, dual)
+            _expand_bracket(slope, pl, nl, lo, step, -1.0)
+            _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
 
-    def widen(lo, hi):  # sign-change bracket of the slope by expansion
-        slope = partial(_slope, dual)
-        _expand_bracket(slope, pl, nl, lo, step, -1.0)
-        _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
+        derivs = partial(_phi_derivatives, dual)
+        _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, tol, scale, widen)
+        t[live] = tl
+        val[live], g, _ = dual.jet(pl + tl[:, None] * nl, order)
+        if grad is None:
+            grad = g
+        else:
+            grad[live] = g
+    return tuple(a[0] if single and a is not None else a for a in (t, val, grad))
 
-    derivs = partial(_phi_derivatives, dual)
-    _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, tol, scale, widen)
-    t[live] = tl
-    val[live] = dual.gauge(pl + tl[:, None] * nl)
-    return (t[0], val[0]) if single else (t, val)
+
+def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e-11):
+    """Batched minimizer of t -> Fdual(p + t n): returns (t_star, value).
+
+    See :func:`_line_minimum`; entries with p = 0 give t = 0 and value 0.
+    """
+    return _line_minimum(dual, p, n, 0, tol)[:2]
 
 
 def line_exit_root(dual: GaugeBody, p: Array, n: Array, t0: Array) -> Array:

@@ -115,6 +115,44 @@ def test_scale_body(pm_body):
     )
 
 
+@pytest.fixture(params=["ellipsoid", "power_mean_p2", "power_mean_p6", "scaled", "numeric_dual"])
+def any_body(request, tilted_ellipsoid, pm_body, pm_body6):
+    return {
+        "ellipsoid": lambda: tilted_ellipsoid,
+        "power_mean_p2": lambda: make_power_mean([np.diag([1.0, 2.0, 0.5])], 2),
+        "power_mean_p6": lambda: pm_body6,
+        "scaled": lambda: scale_body(pm_body, 1.7),
+        "numeric_dual": lambda: dual_body(pm_body6),
+    }[request.param]()
+
+
+def _bits(*arrays):
+    return [None if a is None else np.asarray(a).tobytes() for a in arrays]
+
+
+def test_jet_orders_share_bits_with_the_evaluators(any_body):
+    x = np.random.default_rng(8).standard_normal((9, 3))
+    F0, g0, H0 = any_body.jet(x, 0)
+    F1, g1, H1 = any_body.jet(x, 1)
+    F2, g2, H2 = any_body.jet(x, 2)
+    assert g0 is None and H0 is None and H1 is None
+    # asking for more orders leaves the lower ones bit for bit as they were
+    assert _bits(F0, F1, g1) == _bits(F2, F2, g2)
+    # the evaluator fields are the jet's components
+    assert _bits(any_body.gauge(x), any_body.gradient(x), any_body.hessian_half_sq(x)) == _bits(
+        F2, g2, H2
+    )
+
+
+def test_jet_batch_equals_rows(any_body):
+    # rows are batches of one: a 1-D point takes numpy's scalar power, which
+    # may differ from the array power in the last bit
+    x = np.random.default_rng(9).standard_normal((9, 3))
+    batch = any_body.jet(x, 2)
+    for i in range(len(x)):
+        assert _bits(*any_body.jet(x[i : i + 1], 2)) == _bits(*(a[i : i + 1] for a in batch))
+
+
 def test_tangent_basis_orthonormal_complement():
     g = RNG.standard_normal((50, 3))
     T = tangent_basis(g)

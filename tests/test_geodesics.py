@@ -4,6 +4,7 @@ import pytest
 from girthlab import (
     EmbeddedSphere,
     GirthOptions,
+    PreconditionError,
     UnsupportedInputError,
     characteristic_flow,
     diameter_probe,
@@ -15,7 +16,7 @@ from girthlab import (
     sample_cosphere,
     shortest_path_length,
 )
-from girthlab import metric
+from girthlab import bodies, metric
 from girthlab.geodesics import (
     DiscreteSymmetricCurve,
     _energy_and_grad,
@@ -140,6 +141,36 @@ def test_flow_on_numeric_dual_ambient(monkeypatch, aniso_ellipsoid, pm_body):
     assert traj.g_drift <= 1e-10
     G = induced_hamiltonian(s, traj.qs, traj.ps)
     np.testing.assert_allclose(G, 1.0, atol=1e-10)
+
+
+def test_flow_field_takes_the_dual_gradient_from_the_line_minimum(
+    monkeypatch, aniso_ellipsoid, pm_body
+):
+    # the flow of test_flow_on_numeric_dual_ambient evaluates its field 256
+    # times; each takes grad F* at the line minimum from the minimizer's
+    # closing jet, where a separate gradient call made one more
+    # gradient-inverse solve (2824 in all)
+    s = EmbeddedSphere(aniso_ellipsoid, pm_body)
+    q, p = sample_cosphere(s, 1, np.random.default_rng(0))
+    solve = bodies._solve_gradient_inverse
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(bodies, "_solve_gradient_inverse", counted)
+    characteristic_flow(s, CoSpherePoint(q[0], p[0]), 0.5, 0.5 / 64)
+    assert len(calls) <= 2824 - 256
+
+
+@pytest.mark.parametrize(
+    "T, dt", [(0.0, 0.1), (1.0, 0.0), (1.0, np.nan), (1.0, -0.1), (np.inf, 0.1), (np.nan, 0.1)]
+)
+def test_flow_requires_finite_positive_T_and_dt(round_sphere, T, dt):
+    start = CoSpherePoint(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(PreconditionError):
+        characteristic_flow(round_sphere, start, T, dt)
 
 
 def test_shortest_path_between_nearby_points(round_sphere):

@@ -16,7 +16,9 @@ from girthlab import (
     sample_cosphere,
     solve_line_sphere,
 )
+from girthlab import bodies
 from girthlab.measures import action
+from girthlab.metric import conormal, minimize_along_conormal
 
 RNG = np.random.default_rng(11)
 
@@ -58,6 +60,9 @@ def test_phi_image_residuals(spheres):
         np.testing.assert_allclose(restrict_covector(s, P, q), p, atol=1e-10)
         # Q is the canonical restriction of q at P on the dual side
         np.testing.assert_allclose(np.einsum("ij,ij->i", Q, P), 0.0, atol=1e-12)
+        P0, Q0 = phi(s, q[:0], p[:0])
+        assert P0.shape == Q0.shape == (0, q.shape[1])
+        assert P0.dtype == Q0.dtype == np.float64
 
 
 def test_phi_lands_on_dual_cosphere(spheres):
@@ -76,6 +81,26 @@ def test_phi_round_trip(spheres):
         q2, p2 = phi(sw, P, Q)
         np.testing.assert_allclose(q2, q, atol=1e-8)
         np.testing.assert_allclose(p2, p, atol=1e-8)
+
+
+def test_phi_takes_the_dual_gradient_from_the_line_minimum(monkeypatch, spheres):
+    # on the numeric dual of pm4, phi makes exactly the gradient-inverse
+    # solves of its conormal line minimization: the transposed restriction
+    # reuses the dual's gradient from the minimizer's closing jet
+    s = spheres[0]
+    q, p = sample_cosphere(s, 16, np.random.default_rng(6))
+    solve = bodies._solve_gradient_inverse
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(bodies, "_solve_gradient_inverse", counted)
+    minimize_along_conormal(s.dual2, p, conormal(s, q))
+    n_min = len(calls)
+    phi(s, q, p)
+    assert len(calls) - n_min == n_min
 
 
 def test_phi_rejects_interior_point(spheres):

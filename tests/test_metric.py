@@ -98,12 +98,13 @@ def test_line_minimization_skips_converged_entries(pm_body):
     # A solver that re-evaluates the whole batch evaluates m points a pass.
     counts = {"calls": 0, "points": 0}
 
-    def counted(x):
-        counts["calls"] += 1
-        counts["points"] += np.atleast_2d(x).shape[0]
-        return pm_body.gradient(x)
+    def counted(x, order):
+        if order:  # the slope evaluations; order 0 is the closing gauge
+            counts["calls"] += 1
+            counts["points"] += np.atleast_2d(x).shape[0]
+        return pm_body.jet(x, order)
 
-    body = dataclasses.replace(pm_body, gradient=counted)
+    body = dataclasses.replace(pm_body, jet=counted)
     r = np.random.default_rng(5)
     p = r.standard_normal((16, 3))
     n = np.cross(pm_body.gradient(p), r.standard_normal((16, 3)))
@@ -150,11 +151,11 @@ def test_settled_line_skips_bracket(tilted_ellipsoid):
     dual = dual_body(tilted_ellipsoid)
     counts = {"gradient": 0}
 
-    def counted(x):
-        counts["gradient"] += 1
-        return dual.gradient(x)
+    def counted(x, order):
+        counts["gradient"] += order > 0
+        return dual.jet(x, order)
 
-    body = dataclasses.replace(dual, gradient=counted)
+    body = dataclasses.replace(dual, jet=counted)
     p, n = np.array([0.3, -0.7, 0.2]), np.array([0.5, 0.4, 1.1])
     t, _ = minimize_along_conormal(body, p, n)
     assert counts["gradient"] <= 2
@@ -165,7 +166,11 @@ def test_settled_line_skips_bracket(tilted_ellipsoid):
 def test_line_exit_root_raises_when_unconverged(aniso_ellipsoid):
     # a NaN derivative never gives a converged Newton step; the solver
     # raises instead of returning its last iterate
-    broken = dataclasses.replace(aniso_ellipsoid, gradient=lambda x: np.full(np.shape(x), np.nan))
+    def nan_gradient(x, order):
+        F, g, H = aniso_ellipsoid.jet(x, order)
+        return F, None if g is None else np.full(np.shape(x), np.nan), H
+
+    broken = dataclasses.replace(aniso_ellipsoid, jet=nan_gradient)
     p, n = np.array([[0.0, 0.3, 0.0]]), np.array([[1.0, 0.0, 0.0]])
     assert line_exit_root(aniso_ellipsoid, p, n, np.zeros(1))[0] == pytest.approx(np.sqrt(1.0 - 0.09 * 1.5625))
     with pytest.raises(NumericalFailureError):
