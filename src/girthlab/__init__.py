@@ -39,7 +39,6 @@ from .measures import (  # noqa: F401
     action,
     crofton_line_measure,
     ht_volume,
-    line_hits_body,
     trajectory_action,
 )
 from .metric import (  # noqa: F401

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Every subcommand reads a JSON config, runs one experiment and writes a
-JSON report (or CSV plot tables with --format csv).  Exit status is 0
-iff every check in the report passed, 2 on configuration errors.
+Every subcommand reads a JSON config, validates it with the subcommand as
+its experiment, runs that experiment and writes a JSON report (or CSV
+plot tables with --format csv).  Exit status is 0 iff every check in the
+report passed, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_file(args.config, seed=args.seed, jobs=args.jobs)
-        config.experiment = args.command
+        config = ExperimentConfig.from_file(
+            args.config, experiment=args.command, seed=args.seed, jobs=args.jobs
+        )
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

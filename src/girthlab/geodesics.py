@@ -46,10 +46,6 @@ class DiscreteSymmetricCurve:
             raise PreconditionError("need at least 3 half points")
 
     @property
-    def n_half(self) -> int:
-        return self.half_points.shape[0]
-
-    @property
     def full_points(self) -> Array:
         return np.concatenate([self.half_points, -self.half_points], axis=0)
 
@@ -77,7 +73,6 @@ class GirthOptions:
     seed: int = 0
     tol: float = 1e-10
     levels: int = 3
-    maxiter: int = 4000
 
 
 @dataclass
@@ -233,7 +228,7 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
             project_to_surface(sphere.body1, x0),
             "symmetric",
             opts.tol,
-            opts.maxiter,
+            4000,
             opts.levels,
         )
         start_lengths.append(value)
@@ -269,7 +264,6 @@ def length_spectrum_probe(
     seed: int,
     N: int = 24,
     levels: int = 3,
-    cluster_tol: float = 1e-4,
 ):
     """Sorted distinct closed-geodesic lengths found by multi-start
     refinement.  A probe: it reports what it found, never completeness.
@@ -298,7 +292,7 @@ def length_spectrum_probe(
     found.sort()
     clustered = []
     for v in found:
-        if not clustered or v - clustered[-1] > cluster_tol:
+        if not clustered or v - clustered[-1] > 1e-4:
             clustered.append(v)
     return clustered
 
@@ -326,7 +320,7 @@ def _slerp_arc(a: Array, b: Array, K: int, rng) -> Array:
 
 
 def shortest_path_length(
-    sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24, levels: int = 2, rng=None
+    sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24, rng=None
 ) -> float:
     """Chord-gauge length of a locally shortest discrete path from a to b
     (endpoints fixed, interior vertices free).  A lower bound for the true
@@ -335,7 +329,7 @@ def shortest_path_length(
     a = project_to_surface(sphere.body1, np.asarray(a, float))
     b = project_to_surface(sphere.body1, np.asarray(b, float))
     pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
-    _, _, lengths, _, _ = _continuation(sphere, pts[1:-1], (a, b), 1e-10, 2000, levels)
+    _, _, lengths, _, _ = _continuation(sphere, pts[1:-1], (a, b), 1e-10, 2000, 2)
     return lengths[-1]
 
 
@@ -381,7 +375,7 @@ def characteristic_flow(
         raise PreconditionError("start must lie on the unit co-sphere")
     n_steps = int(np.ceil(T / dt))
     h = T / n_steps
-    samples = [CoSpherePoint(q.copy(), p.copy(), 1.0)]
+    samples = [CoSpherePoint(q.copy(), p.copy())]
     times = [0.0]
     drift = 0.0
     for _ in range(n_steps):
@@ -397,7 +391,7 @@ def characteristic_flow(
         _, G = minimize_along_conormal(sphere.dual2, p, n)
         drift = max(drift, abs(float(G) - 1.0))
         p = p / G
-        samples.append(CoSpherePoint(q.copy(), p.copy(), 1.0))
+        samples.append(CoSpherePoint(q.copy(), p.copy()))
         times.append(times[-1] + h)
     residual = float(
         np.linalg.norm(q - samples[0].q) + np.linalg.norm(p - samples[0].p)

@@ -1,8 +1,8 @@
 """Experiment orchestration: configs, deterministic seeding, reports.
 
 A single JSON config document describes the space, the experiment and the
-solver knobs; ``run`` certifies the bodies, dispatches to the library and
-returns a structured report whose canonical serialization is byte-stable
+solver knobs; ``run`` certifies the bodies, runs the experiment's entry of
+``EXPERIMENTS`` and returns a structured report whose canonical serialization is byte-stable
 for a fixed (config, seed, version).  Wall time is recorded but excluded
 from the canonical bytes.
 """
@@ -29,7 +29,6 @@ from .errors import ConfigError, RejectedInputError
 from .geodesics import (
     GirthOptions,
     diameter_probe,
-    dual_girth,
     girth,
     length_spectrum_probe,
 )
@@ -39,18 +38,7 @@ from .metric import (
     EmbeddedSphere,
     induced_hamiltonian,
     restrict_covector,
-    project_to_surface,
     sample_cosphere,
-)
-
-EXPERIMENTS = (
-    "girth",
-    "dual-check",
-    "spectrum",
-    "volume",
-    "crofton",
-    "maps-verify",
-    "diameter",
 )
 
 DEFAULT_TOLERANCES = {
@@ -112,7 +100,6 @@ class ExperimentConfig:
     experiment: str
     solver: SolverOptions
     seed: int = 0
-    output: Optional[str] = None
     tolerances: dict = field(default_factory=dict)
     jobs: int = 1
 
@@ -128,10 +115,12 @@ class ExperimentConfig:
             raise ConfigError("config requires space.norm1")
         dim = _bounded_int("space.dim", space.get("dim", 3), 2)
         experiment = d.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-        if experiment in ("girth", "dual-check", "spectrum", "volume", "crofton") and dim < 3:
-            raise ConfigError(f"{experiment} requires dim >= 3")
+        names = tuple(EXPERIMENTS)  # not the dict: a JSON value may be unhashable
+        if experiment not in names:
+            raise ConfigError(f"experiment must be one of {names}")
+        min_dim = EXPERIMENTS[experiment][1]
+        if dim < min_dim:
+            raise ConfigError(f"{experiment} requires dim >= {min_dim}")
         solver_d = d.get("solver", {})
         if not isinstance(solver_d, dict):
             raise ConfigError("solver must be an object")
@@ -159,7 +148,6 @@ class ExperimentConfig:
             experiment=experiment,
             solver=solver,
             seed=_bounded_int("seed", d.get("seed", 0), 0),
-            output=d.get("output"),
             tolerances=tols,
             jobs=_bounded_int("jobs", d.get("jobs", 1), 1),
         )
@@ -283,6 +271,8 @@ def _sanitize(obj):
 # ---------------------------------------------------------------------------
 # maps battery
 
+_N_LOOP = 32768  # loop points the midpoint rule needs for the 1e-6 action check
+
 
 def _closed_cosphere_loop(sphere: EmbeddedSphere, n_pts: int, seed: int):
     """Smooth closed curve on the unit co-sphere bundle: a projected great
@@ -300,9 +290,7 @@ def _closed_cosphere_loop(sphere: EmbeddedSphere, n_pts: int, seed: int):
     return q, p
 
 
-def run_maps_battery(
-    sphere: EmbeddedSphere, n_samples: int, seed: int, n_loop: int = 32768
-) -> dict:
+def run_maps_battery(sphere: EmbeddedSphere, n_samples: int, seed: int) -> dict:
     """Residual battery for the duality maps; returns named residuals."""
     rng = np.random.default_rng(subseed(seed, 1))
     q, p = sample_cosphere(sphere, n_samples, rng)
@@ -338,7 +326,7 @@ def run_maps_battery(
     out["Phi_roundtrip"] = float(max(np.abs(qi - q).max(), np.abs(pi - p_int).max()))
 
     # action preservation on a closed co-sphere loop
-    lq, lp = _closed_cosphere_loop(sphere, n_loop, subseed(seed, 2))
+    lq, lp = _closed_cosphere_loop(sphere, _N_LOOP, subseed(seed, 2))
     a0 = action(lq, lp, closed=True)
     LP, LQ = psi(sphere, lq, lp)
     a1 = action(LP, LQ, closed=True)
@@ -351,7 +339,7 @@ def run_maps_battery(
 
 
 # ---------------------------------------------------------------------------
-# experiment dispatch
+# experiments: each takes (config, sphere) and returns (results, checks)
 
 
 def _girth_opts(config: ExperimentConfig) -> GirthOptions:
@@ -361,28 +349,130 @@ def _girth_opts(config: ExperimentConfig) -> GirthOptions:
     )
 
 
-def _parallel_pair(fn_a, fn_b, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as ex:
-            fa = ex.submit(fn_a)
-            fb = ex.submit(fn_b)
-            return fa.result(), fb.result()
-    return fn_a(), fn_b()
+def _both_sides(config: ExperimentConfig, sphere: EmbeddedSphere, fn):
+    """``fn(s, side)`` on the sphere (side 0) and on its dual side (side 1),
+    in two threads when ``config.jobs > 1``."""
+    sides = ((sphere, 0), (sphere.swapped(), 1))
+    if config.jobs == 1:
+        return [fn(s, side) for s, side in sides]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        return list(ex.map(lambda a: fn(*a), sides))
+
+
+def _girth(config, sphere):
+    res = girth(sphere, _girth_opts(config))
+    residual = res.certificate["first_order_residual"]
+    tol = config.tolerances["girth_residual"]
+    results = {"girth": res.girth, "certificate": res.certificate}
+    return results, [_check("girth_first_order_residual", residual, tol)]
+
+
+def _dual_check(config, sphere):
+    opts = _girth_opts(config)
+    res, dres = _both_sides(config, sphere, lambda s, side: girth(s, opts))
+    gap = abs(res.girth - dres.girth) / res.girth
+    results = {
+        "girth": res.girth,
+        "dual_girth": dres.girth,
+        "relative_gap": gap,
+        "certificate": res.certificate,
+        "dual_certificate": dres.certificate,
+    }
+    return results, [_check("girth_duality_gap", gap, config.tolerances["dual_gap_rel"])]
+
+
+def _spectrum(config, sphere):
+    opts = config.solver
+    sp, sd = _both_sides(
+        config,
+        sphere,
+        lambda s, side: length_spectrum_probe(
+            s, opts.starts, subseed(config.seed, 20 + side), N=opts.N, levels=opts.levels
+        ),
+    )
+    # a side that found no geodesic matches nothing
+    mismatch = np.inf
+    if sp and sd:
+        mismatch = max(min(abs(v - w) for w in b) for a, b in ((sp, sd), (sd, sp)) for v in a)
+    tol = config.tolerances["spectrum_match"]
+    results = {"primal_lengths": sp, "dual_lengths": sd, "max_mismatch": mismatch}
+    return results, [_check("spectrum_match", mismatch, tol)]
+
+
+def _volume(config, sphere):
+    v1, v2 = _both_sides(config, sphere, lambda s, side: ht_volume(s, seed=config.seed))
+    rel = abs(v1.value - v2.value) / v1.value
+    combined = (v1.error_estimate + v2.error_estimate) / v1.value
+    tol = max(config.tolerances["volume_rel"], 3.0 * combined)
+    results = {"volume_primal": asdict(v1), "volume_dual": asdict(v2), "relative_gap": rel}
+    return results, [_check("volume_equality", rel, tol)]
+
+
+def _crofton(config, sphere):
+    # norm1 is the hypersurface M, norm2 (or norm1) the ambient norm
+    rep = crofton_line_measure(
+        sphere.body2, sphere.body1, config.solver.samples, subseed(config.seed, 30)
+    )
+    vol = ht_volume(sphere, seed=config.seed)
+    ratio = rep.value / (vol.value * np.pi)
+    check = _check("crofton_identity", abs(ratio - 1.0), config.tolerances["crofton_rel"])
+    results = {"line_measure": asdict(rep), "ht_volume": asdict(vol), "ratio": ratio}
+    return results, [check]
+
+
+# (check name, battery residuals it takes the largest of, tolerance key)
+_MAP_CHECKS = (
+    ("map_residual", ("dual_surface_residual",), "map_residual"),
+    ("restriction_residual", ("restriction_residual",), "map_residual"),
+    ("psi_equivariance", ("psi_equivariance",), "psi_equivariance"),
+    (
+        "action_preservation",
+        ("action_preservation_psi", "action_preservation_phi_reversed"),
+        "action_preservation",
+    ),
+    ("Phi_roundtrip", ("Phi_roundtrip",), "phi_roundtrip"),
+)
+
+
+def _maps_verify(config, sphere):
+    battery = run_maps_battery(sphere, min(config.solver.samples, 1000), config.seed)
+    checks = [
+        _check(name, max(battery[k] for k in keys), config.tolerances[tol])
+        for name, keys, tol in _MAP_CHECKS
+    ]
+    return {"battery": battery}, checks
+
+
+def _diameter(config, sphere):
+    n = config.solver.samples
+    m = max(4, n if n <= 200 else 40)
+    seeds = (subseed(config.seed, 40), subseed(config.seed, 41))
+    dp, dd = _both_sides(config, sphere, lambda s, side: diameter_probe(s, m, seeds[side]))
+    results = {"diameter_lower_bound_primal": dp, "diameter_lower_bound_dual": dd}
+    return results, [_check("diameter_probe_completed", 0.0, 0.0)]
+
+
+# name -> (experiment, smallest ambient dimension it runs in)
+EXPERIMENTS = {
+    "girth": (_girth, 3),
+    "dual-check": (_dual_check, 3),
+    "spectrum": (_spectrum, 3),
+    "volume": (_volume, 3),
+    "crofton": (_crofton, 3),
+    "maps-verify": (_maps_verify, 2),
+    "diameter": (_diameter, 2),
+}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Certify bodies, dispatch the experiment, assemble the report."""
+    """Certify bodies, run the experiment, assemble the report."""
     t0 = time.perf_counter()
-    tols = config.tolerances
     body1 = body_from_spec(config.norm1, config.dim)
-    body2 = (
-        body_from_spec(config.norm2, config.dim) if config.norm2 else body1
-    )
+    body2 = body_from_spec(config.norm2, config.dim) if config.norm2 else body1
     certificates = {}
     checks = []
+    n_cert, cert_seed = 2000, subseed(config.seed, 100)
     for tag, body in (("norm1", body1), ("norm2", body2)):
-        n_cert = 2000
-        cert_seed = subseed(config.seed, 100)
         min_eig = check_quadratic_convexity(body, n_cert, cert_seed)
         certificates[tag] = {
             "label": body.label,
@@ -399,123 +489,9 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             }
         )
 
-    sphere = EmbeddedSphere(body1, body2)
-    results = {}
-    exp = config.experiment
-
-    if exp == "girth":
-        res = girth(sphere, _girth_opts(config))
-        results["girth"] = res.girth
-        results["certificate"] = res.certificate
-        checks.append(
-            _check(
-                "girth_first_order_residual",
-                res.certificate["first_order_residual"],
-                tols["girth_residual"],
-            )
-        )
-    elif exp == "dual-check":
-        opts = _girth_opts(config)
-        res, dres = _parallel_pair(
-            lambda: girth(sphere, opts), lambda: dual_girth(sphere, opts), config.jobs
-        )
-        gap = abs(res.girth - dres.girth) / res.girth
-        results["girth"] = res.girth
-        results["dual_girth"] = dres.girth
-        results["relative_gap"] = gap
-        results["certificate"] = res.certificate
-        results["dual_certificate"] = dres.certificate
-        checks.append(_check("girth_duality_gap", gap, tols["dual_gap_rel"]))
-    elif exp == "spectrum":
-        k = config.solver.starts
-        sp, sd = _parallel_pair(
-            lambda: length_spectrum_probe(
-                sphere, k, subseed(config.seed, 20), N=config.solver.N,
-                levels=config.solver.levels,
-            ),
-            lambda: length_spectrum_probe(
-                sphere.swapped(), k, subseed(config.seed, 21), N=config.solver.N,
-                levels=config.solver.levels,
-            ),
-            config.jobs,
-        )
-        results["primal_lengths"] = sp
-        results["dual_lengths"] = sd
-        mismatch = 0.0
-        for v in sp:
-            mismatch = max(mismatch, min(abs(v - w) for w in sd) if sd else np.inf)
-        for w in sd:
-            mismatch = max(mismatch, min(abs(w - v) for v in sp) if sp else np.inf)
-        results["max_mismatch"] = mismatch
-        checks.append(_check("spectrum_match", mismatch, tols["spectrum_match"]))
-    elif exp == "volume":
-        v1, v2 = _parallel_pair(
-            lambda: ht_volume(sphere, seed=config.seed),
-            lambda: ht_volume(sphere.swapped(), seed=config.seed),
-            config.jobs,
-        )
-        rel = abs(v1.value - v2.value) / v1.value
-        results["volume_primal"] = asdict(v1)
-        results["volume_dual"] = asdict(v2)
-        results["relative_gap"] = rel
-        combined = (v1.error_estimate + v2.error_estimate) / v1.value
-        checks.append(
-            _check("volume_equality", rel, max(tols["volume_rel"], 3.0 * combined))
-        )
-    elif exp == "crofton":
-        # norm1 is the hypersurface M, norm2 (or norm1) the ambient norm
-        rep = crofton_line_measure(
-            body2, body1, config.solver.samples, subseed(config.seed, 30)
-        )
-        vol = ht_volume(sphere, seed=config.seed)
-        ratio = rep.value / (vol.value * np.pi)
-        results["line_measure"] = asdict(rep)
-        results["ht_volume"] = asdict(vol)
-        results["ratio"] = ratio
-        checks.append(_check("crofton_identity", abs(ratio - 1.0), tols["crofton_rel"]))
-    elif exp == "maps-verify":
-        n = min(config.solver.samples, 1000)
-        battery = run_maps_battery(sphere, n, config.seed)
-        results["battery"] = battery
-        checks.append(
-            _check("map_residual", battery["dual_surface_residual"], tols["map_residual"])
-        )
-        checks.append(
-            _check(
-                "restriction_residual",
-                battery["restriction_residual"],
-                tols["map_residual"],
-            )
-        )
-        checks.append(
-            _check("psi_equivariance", battery["psi_equivariance"], tols["psi_equivariance"])
-        )
-        checks.append(
-            _check(
-                "action_preservation",
-                max(
-                    battery["action_preservation_psi"],
-                    battery["action_preservation_phi_reversed"],
-                ),
-                tols["action_preservation"],
-            )
-        )
-        checks.append(_check("Phi_roundtrip", battery["Phi_roundtrip"], tols["phi_roundtrip"]))
-    elif exp == "diameter":
-        m = max(4, config.solver.samples if config.solver.samples <= 200 else 40)
-        dp, dd = _parallel_pair(
-            lambda: diameter_probe(sphere, m, subseed(config.seed, 40)),
-            lambda: diameter_probe(sphere.swapped(), m, subseed(config.seed, 41)),
-            config.jobs,
-        )
-        results["diameter_lower_bound_primal"] = dp
-        results["diameter_lower_bound_dual"] = dd
-        checks.append(
-            {"name": "diameter_probe_completed", "value": 0.0, "tolerance": 0.0, "passed": True}
-        )
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown experiment {exp}")
-
+    experiment = EXPERIMENTS[config.experiment][0]
+    results, more = experiment(config, EmbeddedSphere(body1, body2))
+    checks += more
     passed = all(c["passed"] for c in checks)
     return ExperimentReport(
         config=_sanitize(config.to_dict()),

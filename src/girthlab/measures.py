@@ -11,7 +11,6 @@ evaluations; the equivalence with the conormal-line minimization used by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -20,16 +19,6 @@ from .errors import NumericalFailureError, PreconditionError, UnsupportedInputEr
 from .metric import EmbeddedSphere, minimize_along_conormal
 
 Array = np.ndarray
-
-
-@dataclass
-class OrientedLine:
-    """Oriented line encoded by a unit dual-gauge covector P (direction
-    datum) and a canonical moment Q with <Q, P> = 0; the line is
-    {Q + s * L(P)} with L(P) the supporting point of P."""
-
-    P: Array
-    Q: Array
 
 
 @dataclass
@@ -66,31 +55,56 @@ def trajectory_action(traj) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fiber support gauge (section formulation)
-
-
-def fiber_support_gauge(sphere: EmbeddedSphere, q: Array, p: Array, n_scan: int = 4096):
-    """Gauge of the co-disc fiber computed as the support value of the
-    ambient-ball section by the tangent plane: max over unit tangent v of
-    <p, v>.  Same function as ``induced_hamiltonian``, different route."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = sphere.body1.gradient(q)
-    T = tangent_basis(n)
-    e1, e2 = T[..., 0], T[..., 1]
-    s = 2.0 * np.pi * np.arange(n_scan) / n_scan
-    w = np.cos(s)[:, None] * e1[None, :] + np.sin(s)[:, None] * e2[None, :]
-    vals = (w @ p) / sphere.body2.gauge(w)
-    j = int(np.argmax(vals))
-    f0, fp, fm = vals[j], vals[(j + 1) % n_scan], vals[(j - 1) % n_scan]
-    denom = 2.0 * f0 - fp - fm
-    if denom > 0:
-        f0 = f0 + (fp - fm) ** 2 / (8.0 * denom)
-    return float(f0)
-
-
-# ---------------------------------------------------------------------------
 # Holmes-Thompson volume
+
+# coarse grid: Gauss-Legendre nodes in cos(theta), azimuths, section
+# directions of the fiber area, section scan points; the fine grid doubles
+# each
+_N_MU, _N_PHI, _N_BETA, _N_SCAN = 24, 48, 64, 256
+
+
+def _section_support(body2: GaugeBody, e1: Array, e2: Array, beta: Array, n_scan: int):
+    """Support function h(beta) of each section of the ambient ball by the
+    plane of orthonormal (e1, e2), in the direction cos(beta) e1 +
+    sin(beta) e2: the largest cos(beta - s) / F2(cos(s) e1 + sin(s) e2)
+    over n_scan section directions s, refined by a parabola through the
+    best scan point and its neighbours.  Returns shape (rows, len(beta))."""
+    svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
+    cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
+    K = e1.shape[0]
+    h = np.empty((K, beta.size))
+    chunk = max(1, int(2**22 // (beta.size * n_scan)))
+    cs = np.cos(svals)
+    sn = np.sin(svals)
+    for lo in range(0, K, chunk):
+        hi = min(K, lo + chunk)
+        w = (
+            cs[None, :, None] * e1[lo:hi, None, :]
+            + sn[None, :, None] * e2[lo:hi, None, :]
+        )  # (k, S, 3)
+        R = 1.0 / body2.gauge(w)  # (k, S)
+        vals = cosmat[None, :, :] * R[:, None, :]  # (k, B, S)
+        j = np.argmax(vals, axis=-1)  # (k, B)
+        take = np.take_along_axis
+        f0 = take(vals, j[..., None], axis=-1)[..., 0]
+        fp = take(vals, ((j + 1) % n_scan)[..., None], axis=-1)[..., 0]
+        fm = take(vals, ((j - 1) % n_scan)[..., None], axis=-1)[..., 0]
+        denom = 2.0 * f0 - fp - fm
+        safe = np.where(denom > 0.0, denom, 1.0)
+        h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
+    return h
+
+
+def fiber_support_gauge(sphere: EmbeddedSphere, q: Array, p: Array) -> float:
+    """Gauge of the co-disc fiber at one point as the support value of the
+    ambient-ball section by the tangent plane, max over unit tangent v of
+    <p, v>, with the section scan of the volume on a 4096-point grid.  Same
+    function as ``induced_hamiltonian``, different route."""
+    T = tangent_basis(sphere.body1.gradient(np.asarray(q, dtype=float)))
+    a, b = np.asarray(p, dtype=float) @ T
+    beta = np.array([np.arctan2(b, a)])
+    h = _section_support(sphere.body2, T[None, :, 0], T[None, :, 1], beta, 4096)
+    return float(np.hypot(a, b) * h[0, 0])
 
 
 def _sphere_chart(mu: Array, phi: Array):
@@ -105,9 +119,9 @@ def _sphere_chart(mu: Array, phi: Array):
     return u, du_dmu, du_dphi
 
 
-def _ht_volume_once(
-    sphere: EmbeddedSphere, n_mu: int, n_phi: int, n_beta: int, n_scan: int
-) -> float:
+def _ht_volume_once(sphere: EmbeddedSphere, k: int) -> float:
+    """The volume quadrature on the coarse grid refined k times."""
+    n_mu, n_phi, n_beta, n_scan = k * _N_MU, k * _N_PHI, k * _N_BETA, k * _N_SCAN
     body1, body2 = sphere.body1, sphere.body2
     nodes, wts = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -141,78 +155,42 @@ def _ht_volume_once(
         psi_dot(e1, q_mu) * psi_dot(e2, q_phi) - psi_dot(e2, q_mu) * psi_dot(e1, q_phi)
     )
 
-    # fiber areas: support function of the ambient-ball section by the
-    # tangent plane, via a scan over section directions
-    svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
+    # fiber areas from the support function of the ambient-ball section by
+    # the tangent plane
     beta = 2.0 * np.pi * np.arange(n_beta) / n_beta
-    cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
-
-    K = q.shape[0]
-    areas = np.empty(K)
-    chunk = max(1, int(2**22 // (n_beta * n_scan)))
-    cs = np.cos(svals)
-    sn = np.sin(svals)
-    for lo in range(0, K, chunk):
-        hi = min(K, lo + chunk)
-        w = (
-            cs[None, :, None] * e1[lo:hi, None, :]
-            + sn[None, :, None] * e2[lo:hi, None, :]
-        )  # (k, S, 3)
-        R = 1.0 / body2.gauge(w)  # (k, S)
-        vals = cosmat[None, :, :] * R[:, None, :]  # (k, B, S)
-        j = np.argmax(vals, axis=-1)  # (k, B)
-        take = np.take_along_axis
-        f0 = take(vals, j[..., None], axis=-1)[..., 0]
-        fp = take(vals, ((j + 1) % n_scan)[..., None], axis=-1)[..., 0]
-        fm = take(vals, ((j - 1) % n_scan)[..., None], axis=-1)[..., 0]
-        denom = 2.0 * f0 - fp - fm
-        safe = np.where(denom > 0.0, denom, 1.0)
-        h = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
-        areas[lo:hi] = 0.5 * np.sum(h**-2.0, axis=-1) * (2.0 * np.pi / n_beta)
+    h = _section_support(body2, e1, e2, beta, n_scan)
+    areas = 0.5 * np.sum(h**-2.0, axis=-1) * (2.0 * np.pi / n_beta)
 
     return float(np.sum(wq * J * areas) / np.pi)
 
 
-def ht_volume(
-    sphere: EmbeddedSphere,
-    n_mu: int = 24,
-    n_phi: int = 48,
-    n_beta: int = 64,
-    n_scan: int = 256,
-    seed: int = 0,
-) -> VolumeReport:
+def ht_volume(sphere: EmbeddedSphere, seed: int = 0) -> VolumeReport:
     """Holmes-Thompson volume of the induced metric: symplectic volume of
     the unit co-disc bundle divided by the area of the Euclidean unit disc.
     Quadrature error is estimated by grid doubling."""
     if sphere.dim != 3:
         raise UnsupportedInputError("volumes are implemented for dimension 3")
-    coarse = _ht_volume_once(sphere, n_mu, n_phi, n_beta, n_scan)
-    fine = _ht_volume_once(sphere, 2 * n_mu, 2 * n_phi, 2 * n_beta, 2 * n_scan)
+    coarse = _ht_volume_once(sphere, 1)
+    fine = _ht_volume_once(sphere, 2)
     return VolumeReport(
         value=fine,
         method="quadrature",
-        samples=4 * n_mu * n_phi,
+        samples=4 * _N_MU * _N_PHI,
         seed=seed,
         error_estimate=abs(fine - coarse),
-        details={"coarse": coarse, "n_mu": n_mu, "n_phi": n_phi, "n_beta": n_beta},
+        details={"coarse": coarse, "n_mu": _N_MU, "n_phi": _N_PHI, "n_beta": _N_BETA},
     )
 
 
 # ---------------------------------------------------------------------------
-# oriented lines and the Crofton measure
+# the Crofton measure of oriented lines
+
+_BATCH = 200_000  # lines drawn per batch
 
 
-def line_hits_body(line: OrientedLine, M: GaugeBody, ambient: GaugeBody) -> bool:
-    """Whether the oriented line passes through the open interior of M."""
-    dual = dual_body(ambient)
-    direction = dual.gradient(line.P)
-    _, val = minimize_along_conormal(M, np.asarray(line.Q, float), direction)
-    return bool(val < 1.0 - 1e-10)
-
-
-def _euclid_radius(body: GaugeBody, n_dirs: int = 2048) -> float:
+def _euclid_radius(body: GaugeBody) -> float:
     rng = np.random.default_rng(12345)
-    d = rng.standard_normal((n_dirs, body.dim))
+    d = rng.standard_normal((2048, body.dim))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     return float((1.0 / body.gauge(d)).max())
 
@@ -222,7 +200,6 @@ def crofton_line_measure(
     M: GaugeBody,
     n_samples: int,
     seed: int,
-    batch: int = 200_000,
 ) -> VolumeReport:
     """Monte Carlo measure of the oriented lines meeting the interior of M,
     with the symplectic density of the line space evaluated per sample from
@@ -249,7 +226,7 @@ def crofton_line_measure(
         overflow = False
         remaining = n_samples
         while remaining > 0:
-            k = min(batch, remaining)
+            k = min(_BATCH, remaining)
             remaining -= k
             u = rng.standard_normal((k, 3))
             u /= np.linalg.norm(u, axis=-1, keepdims=True)

@@ -55,7 +55,6 @@ class CoSpherePoint:
 
     q: Array
     p: Array
-    level: float = 1.0
 
 
 def project_to_surface(body: GaugeBody, x: Array) -> Array:
@@ -70,15 +69,15 @@ def as_rows(a: Array, b: Array):
     return np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float)), a.ndim == 1
 
 
-def _require_on_surface(body: GaugeBody, q: Array, tol: float = 1e-8):
-    if np.any(np.abs(body.gauge(q) - 1.0) > tol):
+def _require_on_surface(body: GaugeBody, q: Array):
+    if np.any(np.abs(body.gauge(q) - 1.0) > 1e-8):
         raise PreconditionError("point is not on the unit surface")
 
 
 def conormal(sphere: EmbeddedSphere, q: Array) -> Array:
     """Covector spanning the annihilator of the tangent plane at q, scaled so
     that <n_q, q> = 1."""
-    _require_on_surface(sphere.body1, q, tol=1e-8)
+    _require_on_surface(sphere.body1, q)
     return sphere.body1.gradient(q)
 
 
@@ -171,17 +170,17 @@ def _safeguarded_newton(
     raise NumericalFailureError(f"1-D line solve: {idx.size} rows did not converge")
 
 
-def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int, tol: float = 1e-11):
+def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     """Batched minimizer of t -> Fdual(p + t n), with the dual's jet at the
     minimum xi* = p + t* n up to ``order`` (0 or 1).
 
     Returns (t*, Fdual(xi*), grad Fdual(xi*) or None).  Works on the
     strictly convex square of the dual gauge with a safeguarded Newton
-    iteration (bisection fallback on a sign-change bracket).  Entries with
-    p = 0 short-circuit to t = 0 and value 0, with a NaN gradient.  Every
-    pass evaluates only the entries that have not yet converged; evaluators
-    are row-independent, so the result does not depend on the batch an
-    entry shares.
+    iteration (bisection fallback on a sign-change bracket) to a relative
+    step of 1e-11.  Entries with p = 0 short-circuit to t = 0 and value 0,
+    with a NaN gradient.  Every pass evaluates only the entries that have
+    not yet converged; evaluators are row-independent, so the result does
+    not depend on the batch an entry shares.
     """
     pb, nb, single = as_rows(p, n)
     m = pb.shape[0]
@@ -208,7 +207,7 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int, tol: float = 
             _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
 
         derivs = partial(_phi_derivatives, dual)
-        _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, tol, scale, widen)
+        _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, 1e-11, scale, widen)
         t[live] = tl
         val[live], g, _ = dual.jet(pl + tl[:, None] * nl, order)
         if grad is None:
@@ -218,12 +217,12 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int, tol: float = 
     return tuple(a[0] if single and a is not None else a for a in (t, val, grad))
 
 
-def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array, tol: float = 1e-11):
+def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array):
     """Batched minimizer of t -> Fdual(p + t n): returns (t_star, value).
 
     See :func:`_line_minimum`; entries with p = 0 give t = 0 and value 0.
     """
-    return _line_minimum(dual, p, n, 0, tol)[:2]
+    return _line_minimum(dual, p, n, 0)[:2]
 
 
 def line_exit_root(dual: GaugeBody, p: Array, n: Array, t0: Array) -> Array:
@@ -247,7 +246,7 @@ def induced_hamiltonian(sphere: EmbeddedSphere, q: Array, p: Array):
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    _require_on_surface(sphere.body1, q, tol=1e-8)
+    _require_on_surface(sphere.body1, q)
     dot = np.einsum("...i,...i->...", p, q)
     if np.any(np.abs(dot) > 1e-8 * (1.0 + np.linalg.norm(p, axis=-1))):
         raise PreconditionError("covector must be canonical: <p, q> = 0")
@@ -263,7 +262,7 @@ def induced_length(sphere: EmbeddedSphere, points: Array, closed: bool) -> float
         raise PreconditionError("expected a 2-D array of points")
     if closed and pts.shape[0] < 3:
         raise PreconditionError("closed curves need at least 3 points")
-    _require_on_surface(sphere.body1, pts, tol=1e-8)
+    _require_on_surface(sphere.body1, pts)
     chords = np.diff(pts, axis=0)
     total = float(np.sum(sphere.body2.gauge(chords)))
     if closed:

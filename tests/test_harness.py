@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from girthlab import ConfigError, ExperimentConfig
+from girthlab import ConfigError, ExperimentConfig, harness
 from girthlab.cli import main
 from girthlab.harness import (
     body_from_spec,
@@ -45,6 +45,8 @@ def test_config_round_trip():
 def test_config_rejects_unknown_experiment():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(make_config("frobnicate"))
+    with pytest.raises(ConfigError, match="experiment must be one of"):
+        ExperimentConfig.from_dict(make_config(["girth"]))
 
 
 def test_config_rejects_unknown_solver_keys():
@@ -204,12 +206,39 @@ def test_run_maps_verify():
     assert rep.passed
 
 
-def test_run_with_jobs_matches_serial():
-    base = make_config("dual-check", norm1=AN_E, solver={"N": 8, "starts": 3})
+SMALL_SOLVERS = {
+    "dual-check": {"N": 8, "starts": 3},
+    "spectrum": {"N": 8, "starts": 1, "levels": 1},
+    "volume": {},
+    "diameter": {"samples": 1},
+}
+
+
+@pytest.mark.parametrize("experiment", SMALL_SOLVERS)
+def test_run_with_jobs_matches_serial(experiment):
+    base = make_config(experiment, norm1=AN_E, solver=SMALL_SOLVERS[experiment])
     r1 = run(ExperimentConfig.from_dict(base))
     base["jobs"] = 2
     r2 = run(ExperimentConfig.from_dict(base))
     assert r1.canonical_bytes() == r2.canonical_bytes()
+
+
+@pytest.mark.parametrize("empty_side", [None, 0, 1])
+def test_spectrum_fails_when_a_side_finds_no_geodesic(monkeypatch, empty_side):
+    # empty_side None: neither side finds one; 0 / 1: only the dual / primal does
+    config = ExperimentConfig.from_dict(make_config("spectrum", solver={"N": 8}))
+    empty = [subseed(config.seed, 20 + side) for side in (0, 1)]
+    if empty_side is not None:
+        empty = [empty[empty_side]]
+
+    def probe(sphere, starts, seed, **kw):
+        return [] if seed in empty else [1.0]
+
+    monkeypatch.setattr(harness, "length_spectrum_probe", probe)
+    rep = run(config)
+    check = rep.checks[-1]
+    assert check["name"] == "spectrum_match" and check["value"] == np.inf
+    assert not check["passed"] and not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +291,21 @@ def test_cli_invalid_json_is_usage_error(tmp_path):
     path.write_text("{nope")
     code = main(["girth", "--config", str(path)])
     assert code == 2
+
+
+def test_cli_subcommand_sets_the_experiment_before_validation(tmp_path, capsys):
+    # a dim-2 config runs maps-verify, but not girth: a config error
+    d = make_config("maps-verify", solver={"samples": 25})
+    d["space"] = {"dim": 2, "norm1": {"type": "ellipsoid", "matrix": np.eye(2).tolist()}}
+    assert main(["girth", "--config", write_config(tmp_path, d)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: girth requires dim >= 3\n"
+    # a config without an experiment runs the subcommand's
+    d = make_config("girth", solver={"N": 8, "starts": 3})
+    del d["experiment"]
+    out = tmp_path / "r.json"
+    assert main(["girth", "--config", write_config(tmp_path, d), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["experiment"] == "girth"
 
 
 def test_emit_plot_data_spectrum(tmp_path):

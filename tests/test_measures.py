@@ -8,11 +8,10 @@ from girthlab import (
     crofton_line_measure,
     ht_volume,
     induced_hamiltonian,
-    line_hits_body,
     make_ellipsoid,
     sample_cosphere,
 )
-from girthlab.measures import OrientedLine, fiber_support_gauge
+from girthlab.measures import fiber_support_gauge
 
 RNG = np.random.default_rng(23)
 
@@ -102,15 +101,6 @@ def test_volume_duality(aniso_ellipsoid, pm_body):
 
 # ---------------------------------------------------------------------------
 # lines and the Crofton measure
-
-
-def test_line_hits_body(euclid):
-    # line through the origin hits the unit ball; a far-off parallel misses
-    P = np.array([0.0, 0.0, 1.0])
-    assert line_hits_body(OrientedLine(P, np.array([0.0, 0.0, 0.0])), euclid, euclid)
-    assert not line_hits_body(
-        OrientedLine(P, np.array([2.0, 0.0, 0.0])), euclid, euclid
-    )
 
 
 def test_crofton_euclidean_ball(euclid):

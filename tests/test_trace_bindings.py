@@ -36,3 +36,14 @@ def test_traced_names_are_bound_in_girthlab():
     assert not missing, f"traced functions no longer bound: {missing}"
     fields = {f.name for f in dataclasses.fields(GaugeBody)}
     assert set(spans.EVALUATORS) <= fields
+
+
+def test_experiments_are_harness_functions():
+    # the tracer patches library functions in the harness namespace; an
+    # experiment stored as a library function would bypass those patches
+    foreign = [
+        name
+        for name, (fn, _) in girthlab.harness.EXPERIMENTS.items()
+        if fn.__module__ != "girthlab.harness"
+    ]
+    assert not foreign, f"experiments not defined in girthlab.harness: {foreign}"
