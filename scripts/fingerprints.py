@@ -9,7 +9,9 @@ one benchmark workload (all of ``perfbench/workloads.py`` run), or of
 one ``configs/*.json``, with the config's seed replaced by the given one.
 girthlab is imported from the ``src/`` next to this script, so two source
 trees report the same numbers bit for bit exactly when the outputs of this
-script in each of them are identical.  Diameter is left out by default: on
+script in each of them are identical.  Each line's elapsed wall seconds go
+to stderr as ``seed name seconds``, so stdout stays comparable while the
+same run gives per-experiment wall times.  Diameter is left out by default: on
 configs/maps_verify.json it runs 200 path pairs a side, about 300 s a seed.
 """
 
@@ -18,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -44,14 +47,22 @@ def main(argv=None):
     built = {name: w.setup(girthlab) for name, w in WORKLOADS.items()}
     for seed in args.seeds:
         for name, w in WORKLOADS.items():
+            t0 = time.perf_counter()
             out = w.run(girthlab, built[name], seed)
-            print(seed, name, hashlib.sha256(out.fingerprint).hexdigest(), flush=True)
+            _emit(seed, name, out.fingerprint, t0)
         for path in configs:
             for exp in args.experiments:
                 d = dict(json.loads(path.read_text()), experiment=exp, seed=seed)
+                t0 = time.perf_counter()
                 report = girthlab.run(girthlab.ExperimentConfig.from_dict(d))
-                digest = hashlib.sha256(report.canonical_bytes()).hexdigest()
-                print(seed, f"{path.stem}:{exp}", digest, flush=True)
+                _emit(seed, f"{path.stem}:{exp}", report.canonical_bytes(), t0)
+
+
+def _emit(seed, name, data, t0):
+    """The fingerprint line on stdout and its elapsed seconds on stderr."""
+    elapsed = time.perf_counter() - t0
+    print(seed, name, hashlib.sha256(data).hexdigest(), flush=True)
+    print(seed, name, f"{elapsed:.2f}", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .metric import (
     EmbeddedSphere,
     _line_minimum,
     induced_hamiltonian,
-    minimize_along_conormal,
     project_to_surface,
 )
 
@@ -351,11 +350,9 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
 # characteristic flow
 
 
-def _hamiltonian_field(sphere: EmbeddedSphere, q: Array, p: Array):
-    F1, n, H1 = sphere.body1.jet(q, 2)
-    t, _, m = _line_minimum(sphere.dual2, p, n, 1)
-    hessF1 = (H1 - np.outer(n, n)) / F1
-    return m, -t * (hessF1 @ m)
+def _field(F1, n, H1, t, m):
+    """(q', p') from the base's jet at q and the line minimum (t, grad m)."""
+    return m, -t * (((H1 - np.outer(n, n)) / F1) @ m)
 
 
 def characteristic_flow(
@@ -378,19 +375,28 @@ def characteristic_flow(
     samples = [CoSpherePoint(q.copy(), p.copy())]
     times = [0.0]
     drift = 0.0
+
+    def field(q, p):
+        F1, n, H1 = sphere.body1.jet(q, 2)
+        return _field(F1, n, H1, *_line_minimum(sphere.dual2, p, n, 1)[::2])
+
+    k1q, k1p = field(q, p)
     for _ in range(n_steps):
-        k1q, k1p = _hamiltonian_field(sphere, q, p)
-        k2q, k2p = _hamiltonian_field(sphere, q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p = _hamiltonian_field(sphere, q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p = _hamiltonian_field(sphere, q + h * k3q, p + h * k3p)
+        k2q, k2p = field(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
+        k3q, k3p = field(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
+        k4q, k4p = field(q + h * k3q, p + h * k3p)
         q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        q /= sphere.body1.gauge(q)
-        n = sphere.body1.gradient(q)
+        # one jet projects q and gives the next k1: grad F1 and Hess(0.5 F1^2)
+        # are 0-homogeneous, and F1 = 1 after the projection
+        F1, n, H1 = sphere.body1.jet(q, 2)
+        q = q / F1
         p = p - float(p @ q) * n
-        _, G = minimize_along_conormal(sphere.dual2, p, n)
+        t, G, m = _line_minimum(sphere.dual2, p, n, 1)
         drift = max(drift, abs(float(G) - 1.0))
         p = p / G
+        # F2* is 1-homogeneous: the line minimum through p / G is t / G
+        k1q, k1p = _field(1.0, n, H1, t / G, m)
         samples.append(CoSpherePoint(q.copy(), p.copy()))
         times.append(times[-1] + h)
     residual = float(

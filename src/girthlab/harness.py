@@ -424,12 +424,14 @@ def _crofton(config, sphere):
 _MAP_CHECKS = (
     ("map_residual", ("dual_surface_residual",), "map_residual"),
     ("restriction_residual", ("restriction_residual",), "map_residual"),
+    ("dual_cosphere_residual", ("dual_cosphere_residual",), "map_residual"),
     ("psi_equivariance", ("psi_equivariance",), "psi_equivariance"),
     (
         "action_preservation",
         ("action_preservation_psi", "action_preservation_phi_reversed"),
         "action_preservation",
     ),
+    ("phi_roundtrip", ("phi_roundtrip",), "phi_roundtrip"),
     ("Phi_roundtrip", ("Phi_roundtrip",), "phi_roundtrip"),
 )
 

@@ -63,19 +63,37 @@ def trajectory_action(traj) -> float:
 _N_MU, _N_PHI, _N_BETA, _N_SCAN = 24, 48, 64, 256
 
 
+def _settle(cosmat: Array, R: Array, j: Array):
+    """Move each index j (rows, B) to a local maximum of f(i) = cosmat[b, i] *
+    R[row, i], ties to the lower index as in np.argmax; f at j, j + 1, j - 1."""
+    n = R.shape[1]
+    b, row = np.arange(cosmat.shape[0]), np.arange(R.shape[0])[:, None]
+    for _ in range(n):
+        jp, jm = (j + 1) % n, (j - 1) % n
+        f0, fp, fm = (cosmat[b, i] * R[row, i] for i in (j, jp, jm))
+        up = (fp > f0) | ((fp == f0) & (jp < j))
+        down = (fm > f0) | ((fm == f0) & (jm < j))
+        if not (up.any() or down.any()):
+            return f0, fp, fm
+        up &= ~down | (fp > fm) | ((fp == fm) & (jp < jm))
+        j = np.where(up, jp, np.where(down, jm, j))
+    raise NumericalFailureError("section support: the scan maximum did not settle")
+
+
 def _section_support(body2: GaugeBody, e1: Array, e2: Array, beta: Array, n_scan: int):
     """Support function h(beta) of each section of the ambient ball by the
     plane of orthonormal (e1, e2), in the direction cos(beta) e1 +
     sin(beta) e2: the largest cos(beta - s) / F2(cos(s) e1 + sin(s) e2)
     over n_scan section directions s, refined by a parabola through the
-    best scan point and its neighbours.  Returns shape (rows, len(beta))."""
+    best scan point and its neighbours.  Returns shape (rows, len(beta)).
+    The scan points bound a convex polygon, so the best is the vertex whose
+    edge normals bracket beta (rotating calipers), as np.argmax picks it."""
     svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
     cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
     K = e1.shape[0]
     h = np.empty((K, beta.size))
-    chunk = max(1, int(2**22 // (beta.size * n_scan)))
-    cs = np.cos(svals)
-    sn = np.sin(svals)
+    chunk = max(1, 2**17 // n_scan)
+    cs, sn = np.cos(svals), np.sin(svals)
     for lo in range(0, K, chunk):
         hi = min(K, lo + chunk)
         w = (
@@ -83,12 +101,15 @@ def _section_support(body2: GaugeBody, e1: Array, e2: Array, beta: Array, n_scan
             + sn[None, :, None] * e2[lo:hi, None, :]
         )  # (k, S, 3)
         R = 1.0 / body2.gauge(w)  # (k, S)
-        vals = cosmat[None, :, :] * R[:, None, :]  # (k, B, S)
-        j = np.argmax(vals, axis=-1)  # (k, B)
-        take = np.take_along_axis
-        f0 = take(vals, j[..., None], axis=-1)[..., 0]
-        fp = take(vals, ((j + 1) % n_scan)[..., None], axis=-1)[..., 0]
-        fm = take(vals, ((j - 1) % n_scan)[..., None], axis=-1)[..., 0]
+        # outward normal angles of the edges s -> s + 1, in [a0, a0 + 2 pi)
+        # along a row; rows 4 pi apart make one sorted array
+        x, y = R * cs, R * sn
+        ang = np.unwrap(np.arctan2(x - np.roll(x, -1, 1), np.roll(y, -1, 1) - y))
+        a0, row = ang[:, :1], np.arange(hi - lo)[:, None]
+        b = a0 + np.mod(beta - a0, 2.0 * np.pi) + 4.0 * np.pi * row
+        j = np.searchsorted((ang + 4.0 * np.pi * row).ravel(), b.ravel())
+        j = (j.reshape(b.shape) - n_scan * row) % n_scan  # (k, B)
+        f0, fp, fm = _settle(cosmat, R, j)
         denom = 2.0 * f0 - fp - fm
         safe = np.where(denom > 0.0, denom, 1.0)
         h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
@@ -254,6 +275,7 @@ def crofton_line_measure(
             Q = rad[:, None] * (
                 np.cos(ang)[:, None] * c1 + np.sin(ang)[:, None] * c2
             )
+            del u, P, Tt, t1, t2, DP1, DP2, Tc, c1, c2  # freed before the line solves
             _, val = minimize_along_conormal(M, Q, gs)
             hit = val < 1.0 - 1e-10
             if np.any(hit & (rad > 0.97 * R_Q)):

@@ -62,3 +62,34 @@ def polygon_length(gauge2, pts, closed=True):
     pts = np.asarray(pts, dtype=float)
     seq = np.concatenate([pts, pts[:1]], axis=0) if closed else pts
     return float(sum(gauge2(seq[i + 1] - seq[i]) for i in range(len(seq) - 1)))
+
+
+def dense_section_support(body2, e1, e2, beta, n_scan):
+    """Support function of ambient-ball sections by brute mesh maximization:
+    the largest cos(beta - s) / F2(cos(s) e1 + sin(s) e2) over every scan
+    direction s, refined by a parabola through the best scan point and its
+    neighbours.  Returns shape (rows, len(beta))."""
+    svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
+    cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
+    K = e1.shape[0]
+    h = np.empty((K, beta.size))
+    chunk = max(1, int(2**22 // (beta.size * n_scan)))
+    cs = np.cos(svals)
+    sn = np.sin(svals)
+    for lo in range(0, K, chunk):
+        hi = min(K, lo + chunk)
+        w = (
+            cs[None, :, None] * e1[lo:hi, None, :]
+            + sn[None, :, None] * e2[lo:hi, None, :]
+        )  # (k, S, 3)
+        R = 1.0 / body2.gauge(w)  # (k, S)
+        vals = cosmat[None, :, :] * R[:, None, :]  # (k, B, S)
+        j = np.argmax(vals, axis=-1)  # (k, B)
+        take = np.take_along_axis
+        f0 = take(vals, j[..., None], axis=-1)[..., 0]
+        fp = take(vals, ((j + 1) % n_scan)[..., None], axis=-1)[..., 0]
+        fm = take(vals, ((j - 1) % n_scan)[..., None], axis=-1)[..., 0]
+        denom = 2.0 * f0 - fp - fm
+        safe = np.where(denom > 0.0, denom, 1.0)
+        h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
+    return h

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from girthlab import (
     sample_cosphere,
     shortest_path_length,
 )
-from girthlab import bodies, metric
+from girthlab import bodies, geodesics, metric
 from girthlab.geodesics import (
     DiscreteSymmetricCurve,
     _energy_and_grad,
@@ -162,6 +164,38 @@ def test_flow_field_takes_the_dual_gradient_from_the_line_minimum(
     monkeypatch.setattr(bodies, "_solve_gradient_inverse", counted)
     characteristic_flow(s, CoSpherePoint(q[0], p[0]), 0.5, 0.5 / 64)
     assert len(calls) <= 2824 - 256
+
+
+def test_flow_step_reuses_the_renormalization_as_its_first_stage(
+    monkeypatch, aniso_ellipsoid, pm_body
+):
+    # by 1-homogeneity the line minimum that rescales p to the unit level
+    # is the next step's first stage, and one base jet serves the radial
+    # projection and that stage: 4 base jets and 4 line minimizations a
+    # step, where projecting and re-evaluating apart took 6 and 5
+    jets, lines = [], []
+
+    def jet(x, order):
+        jets.append(1)
+        return aniso_ellipsoid.jet(x, order)
+
+    line_minimum = metric._line_minimum
+
+    def counted(*args):
+        lines.append(1)
+        return line_minimum(*args)
+
+    monkeypatch.setattr(metric, "_line_minimum", counted)
+    monkeypatch.setattr(geodesics, "_line_minimum", counted)
+    s = EmbeddedSphere(dataclasses.replace(aniso_ellipsoid, jet=jet), pm_body)
+    q, p = sample_cosphere(s, 1, np.random.default_rng(0))
+    counts = []
+    for steps in (8, 16):
+        jets.clear(), lines.clear()
+        characteristic_flow(s, CoSpherePoint(q[0], p[0]), steps / 64, 1 / 64)
+        counts.append((len(jets), len(lines)))
+    (j8, l8), (j16, l16) = counts
+    assert (j16 - j8, l16 - l8) == (4 * 8, 4 * 8)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from girthlab import ConfigError, ExperimentConfig, harness
+from girthlab import ConfigError, EmbeddedSphere, ExperimentConfig, harness
 from girthlab.cli import main
 from girthlab.harness import (
     body_from_spec,
@@ -204,6 +204,30 @@ def test_run_maps_verify():
     )
     rep = run(cfg)
     assert rep.passed
+
+
+def test_maps_verify_gates_the_boundary_round_trip(monkeypatch):
+    """phi off by 1e-6 on the swapped sphere only: the boundary map's round
+    trip is the one residual that sees it, and maps-verify must fail."""
+    swapped, true_phi = EmbeddedSphere.swapped, harness.phi
+    dual_sides = []
+
+    def tagged(self):
+        dual_sides.append(swapped(self))
+        return dual_sides[-1]
+
+    def skewed(sphere, q, p):
+        P, Q = true_phi(sphere, q, p)
+        return (P, Q + 1e-6) if any(sphere is s for s in dual_sides) else (P, Q)
+
+    monkeypatch.setattr(EmbeddedSphere, "swapped", tagged)
+    monkeypatch.setattr(harness, "phi", skewed)
+    cfg = ExperimentConfig.from_dict(
+        make_config("maps-verify", norm1=AN_E, norm2=EUCLID, solver={"samples": 25})
+    )
+    rep = run(cfg)
+    assert dual_sides and not rep.passed
+    assert [c["name"] for c in rep.checks if not c["passed"]] == ["phi_roundtrip"]
 
 
 SMALL_SOLVERS = {

@@ -9,9 +9,13 @@ from girthlab import (
     ht_volume,
     induced_hamiltonian,
     make_ellipsoid,
+    make_power_mean,
     sample_cosphere,
 )
-from girthlab.measures import fiber_support_gauge
+from girthlab.bodies import dual_body, tangent_basis
+from girthlab.measures import _ht_volume_once, _section_support, _settle, fiber_support_gauge
+
+from oracles import dense_section_support
 
 RNG = np.random.default_rng(23)
 
@@ -58,6 +62,98 @@ def test_fiber_support_matches_hamiltonian(aniso_ellipsoid, pm_body):
     G = induced_hamiltonian(s, q, p)
     for i in range(10):
         assert fiber_support_gauge(s, q[i], p[i]) == pytest.approx(G[i], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the section support scan against the dense scan
+
+
+@pytest.fixture(scope="module")
+def scan_bodies(euclid, aniso_ellipsoid, tilted_ellipsoid, pm_body, pm_body6):
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    return {
+        "ball": euclid,
+        "e-086": aniso_ellipsoid,
+        "e-tilt": tilted_ellipsoid,
+        "e-amb": make_ellipsoid(np.diag([1.0, 1.4, 0.7])),
+        "e-1:20:400": make_ellipsoid(Q @ np.diag([1.0, 20.0**2, 400.0**2]) @ Q.T),
+        "pm4": pm_body,
+        "pm6": pm_body6,
+        "pm8": make_power_mean([np.diag([1.0, 2.0, 0.5]), np.eye(3)], 8),
+        "dual(pm4)": dual_body(pm_body),
+    }
+
+
+def _sections():
+    """Tangent planes of random normals, then the coordinate planes in
+    every order and one with a flipped axis (symmetric ties)."""
+    T = tangent_basis(np.random.default_rng(3).standard_normal((40, 3)))
+    E = np.eye(3)
+    pairs = [(0, 1), (1, 2), (0, 2), (1, 0), (2, 0), (2, 1)]
+    e1 = np.concatenate([T[..., 0], E[[a for a, _ in pairs]], E[[0]]])
+    e2 = np.concatenate([T[..., 1], E[[b for _, b in pairs]], -E[[1]]])
+    return e1, e2
+
+
+@pytest.mark.parametrize(
+    "name", ["ball", "e-086", "e-tilt", "e-amb", "e-1:20:400", "pm4", "pm6", "pm8", "dual(pm4)"]
+)
+def test_section_support_equals_the_dense_scan(scan_bodies, name):
+    body = scan_bodies[name]
+    e1, e2 = _sections()
+    for n_beta, n_scan in ((64, 256), (128, 512)):
+        beta = 2.0 * np.pi * np.arange(n_beta) / n_beta
+        h = _section_support(body, e1, e2, beta, n_scan)
+        assert h.tobytes() == dense_section_support(body, e1, e2, beta, n_scan).tobytes()
+    beta = np.array([0.3, -2.0])  # fiber_support_gauge's grid; atan2 angles are negative too
+    h = _section_support(body, e1[:8], e2[:8], beta, 4096)
+    assert h.tobytes() == dense_section_support(body, e1[:8], e2[:8], beta, 4096).tobytes()
+
+
+def test_section_support_breaks_a_tie_across_index_0_like_argmax(euclid):
+    # directions next to the midpoint of the last and first scan points of
+    # a round section: on some, both give the same bits, and argmax takes 0
+    n = 256
+    e1, e2 = np.eye(3)[[0]], np.eye(3)[[1]]
+    beta = 2.0 * np.pi - np.pi / n + 8e-16 * np.arange(-2000, 2001)
+    s = 2.0 * np.pi * np.arange(n) / n
+    R = 1.0 / euclid.gauge(np.cos(s)[:, None] * e1 + np.sin(s)[:, None] * e2)
+    f = np.cos(beta[:, None] - s) * R
+    tied = beta[(f[:, 0] == f[:, -1]) & (f[:, 0] == f.max(axis=1))]
+    assert tied.size
+    h = _section_support(euclid, e1, e2, tied, n)
+    assert h.tobytes() == dense_section_support(euclid, e1, e2, tied, n).tobytes()
+
+
+@pytest.mark.parametrize("j0", range(8))
+def test_scan_settles_where_argmax_does(j0):
+    # f ties at the last and first points, then inside, then nowhere; every
+    # start index must end at argmax's choice, with its neighbours' values
+    R = np.ones((1, 8))
+    cosmat = np.array(
+        [
+            [1.0, 0.5, 0.25, 0.0, 0.0, 0.25, 0.5, 1.0],
+            [0.0, 1.0, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5],
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+        ]
+    )
+    j = np.full((1, 3), j0)
+    f0, fp, fm = _settle(cosmat, R, j)
+    best = np.argmax(cosmat, axis=1)
+    rows = np.arange(3)
+    assert f0.tolist() == [cosmat[rows, best].tolist()]
+    assert fp.tolist() == [cosmat[rows, (best + 1) % 8].tolist()]
+    assert fm.tolist() == [cosmat[rows, (best - 1) % 8].tolist()]
+
+
+def test_ht_volume_is_pinned(aniso_ellipsoid, pm_body):
+    # pm4 in e-amb, the crofton workload's volume, and the coarse pass of a
+    # numeric-dual side (the volume experiment's dual side of that sphere)
+    s = EmbeddedSphere(pm_body, make_ellipsoid(np.diag([1.0, 1.4, 0.7])))
+    rep = ht_volume(s)
+    assert rep.value == pytest.approx(8.37310712234761, rel=1e-13)
+    assert rep.error_estimate == pytest.approx(3.95073271874935e-08, rel=1e-13)
+    assert _ht_volume_once(s.swapped(), 1) == pytest.approx(8.37310693214827, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
