@@ -221,8 +221,7 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
     BFGS minimization of 0.5 F(x)^2 - <xi, x>.
     """
     xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    xib = np.atleast_2d(xi)
+    xib = xi.reshape(-1, xi.shape[-1])
     nrm, xin = _normalized(xib)
 
     def g(x):
@@ -279,7 +278,7 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
                 best_bound=float(np.max(support)),
             )
     x = x * nrm[..., None]
-    return x[0] if single else x
+    return x.reshape(xi.shape)
 
 
 def dual_gauge(body: GaugeBody, xi: Array) -> Array:

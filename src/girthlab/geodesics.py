@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bodies import half_sq_jet
 from .errors import PreconditionError, UnsupportedInputError
@@ -86,57 +85,187 @@ class GirthResult:
 #
 # A polygon is its free vertices plus a closure: "symmetric" wraps the last
 # vertex to the antipode of the first and counts the polygon as two halves,
-# "closed" wraps it to the first vertex, and a pair (a, b) of surface points
-# fixes both endpoints.
+# "closed" wraps it to the first vertex, and a pair (a, b) of surface points,
+# one row per polygon, fixes both endpoints.  Polygons come in stacks
+# (B, n, dim) of one closure and vertex count.
 
 
 def _chain(x: Array, closure) -> Array:
-    """The vertex chain whose successive differences are the chords."""
+    """The vertex chains whose successive differences are the chords."""
     if closure == "symmetric":
-        return np.concatenate([x, -x[:1]], axis=0)
+        return np.concatenate([x, -x[:, :1]], axis=1)
     if closure == "closed":
-        return np.concatenate([x, x[:1]], axis=0)
+        return np.concatenate([x, x[:, :1]], axis=1)
     a, b = closure
-    return np.concatenate([a[None, :], x, b[None, :]], axis=0)
+    return np.concatenate([a[:, None], x, b[:, None]], axis=1)
 
 
-def _length(sphere: EmbeddedSphere, x: Array, closure) -> float:
-    L = float(np.sum(sphere.body2.gauge(np.diff(_chain(x, closure), axis=0))))
+def _length(sphere: EmbeddedSphere, x: Array, closure) -> Array:
+    L = np.sum(sphere.body2.gauge(np.diff(_chain(x, closure), axis=1)), axis=-1)
     return 2.0 * L if closure == "symmetric" else L
 
 
 def symmetric_length(sphere: EmbeddedSphere, x: Array) -> float:
-    return _length(sphere, x, "symmetric")
+    return float(_length(sphere, x[None], "symmetric")[0])
 
 
 def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
-    """Energy of the radially projected polygon and its gradient with
+    """Energies of the radially projected polygons and their gradients with
     respect to the free vertices y."""
     body1, body2 = sphere.body1, sphere.body2
-    n = y.shape[0]
+    n = y.shape[1]
     F1, grad1, _ = body1.jet(y, 1)
-    x = y / F1[:, None]
-    c = np.diff(_chain(x, closure), axis=0)
+    x = y / F1[..., None]
+    c = np.diff(_chain(x, closure), axis=1)
     Fc, Fgrad, _ = half_sq_jet(body2, c, hessian=False)
-    m = 2 * n if closure == "symmetric" else len(c)
-    E = m * float(np.sum(Fc**2))
+    m = 2 * n if closure == "symmetric" else c.shape[1]
+    E = m * np.sum(Fc**2, axis=-1)
     w = (2.0 * m) * Fgrad
-    gV = np.zeros((len(c) + 1, x.shape[1]))
-    gV[1:] += w
-    gV[:-1] -= w
+    gV = np.zeros((len(y), c.shape[1] + 1, y.shape[2]))
+    gV[:, 1:] += w
+    gV[:, :-1] -= w
     # fold the closure row back onto the vertex it repeats
     if closure == "symmetric":
-        g = gV[:n]
-        g[0] -= gV[n]
+        g = gV[:, :n]
+        g[:, 0] -= gV[:, n]
     elif closure == "closed":
-        g = gV[:n]
-        g[0] += gV[n]
+        g = gV[:, :n]
+        g[:, 0] += gV[:, n]
     else:
-        g = gV[1:-1]
+        g = gV[:, 1:-1]
     # chain rule through the radial projection
-    xg = np.einsum("ij,ij->i", x, g)
-    gy = (g - xg[:, None] * grad1) / F1[:, None]
+    xg = np.einsum("bij,bij->bi", x, g)
+    gy = (g - xg[..., None] * grad1) / F1[..., None]
     return E, gy
+
+
+# ---------------------------------------------------------------------------
+# batched limited-memory BFGS
+
+_MEMORY = 20  # (s, y) pairs kept per problem
+_FTOL = 1e-16  # relative decrease of f at or below which a problem stops
+_ARMIJO = 1e-3  # sufficient-decrease constant of the line search
+_BACKTRACKS = 20  # trial steps before a line search fails
+
+
+@dataclass
+class BatchMinimum:
+    """Final points and gradients of :func:`minimize`, one row per problem,
+    and the passes the batch took: iterations and energy evaluations."""
+
+    x: Array
+    jac: Array
+    nit: int
+    nfev: int
+
+
+def _inverse_hessian_times(S: Array, Y: Array, D: Array, Rinv: Array, gamma: Array, g: Array):
+    """H g for each problem's limited-memory inverse Hessian, in the compact
+    form of Byrd, Nocedal and Schnabel (1994, eq. 3.1) with H0 = gamma I:
+    rows of S and Y hold the pairs oldest first, D is the diagonal of S^T Y
+    and Rinv the inverse of its upper triangle.  An empty row is zero, with
+    a unit row and column in Rinv, and contributes nothing."""
+    v = (Rinv @ (S @ g[..., None]))[..., 0]
+    Yv = (v[:, None, :] @ Y)[:, 0]
+    w = D * v + gamma[:, None] * (Y @ (Yv - g)[..., None])[..., 0]
+    top = (w[:, None, :] @ Rinv)[:, 0]
+    return gamma[:, None] * (g - Yv) + (top[:, None, :] @ S)[:, 0]
+
+
+def minimize(fun, x0: Array, gtol: float, maxiter: int) -> BatchMinimum:
+    """Minimize a stack of independent smooth problems by limited-memory BFGS.
+
+    ``fun(x, rows)`` returns the values (b,) and gradients (shaped like x)
+    of the problems ``rows``, indices into the stack x0 (B, ...), at x.
+    Each problem keeps its own memory of 20 (s, y) pairs, stored when
+    s.y > eps (-g.s), and its own backtracking line search: from the step
+    1, or 1 / |d| while its memory is empty, halve until f falls by the
+    Armijo margin and strictly.  A trial that leaves f unchanged ends the
+    search: it is taken if its gradient norm is smaller, else the search
+    fails, as it does after 20 trials.  A problem stops, as in scipy's
+    L-BFGS-B, when the inf-norm of its gradient is at most ``gtol``, when
+    an iteration lowers f by at most 1e-16 relative to max(|f|, 1), or after
+    ``maxiter`` iterations; and when a search from steepest descent fails.
+    A failed search from a quasi-Newton direction clears the memory
+    instead.  Stopped problems are no longer evaluated.
+    """
+    shape = x0.shape
+
+    def evaluate(z, rows):
+        f, g = fun(z.reshape((len(rows),) + shape[1:]), rows)
+        return f, g.reshape(len(rows), -1)
+
+    rows = np.arange(shape[0])
+    x = np.array(x0, dtype=float).reshape(shape[0], -1)
+    f, g = evaluate(x, rows)
+    x_out, g_out = x.copy(), g.copy()
+    S = np.zeros((len(rows), _MEMORY, x.shape[1]))
+    Y = np.zeros_like(S)
+    D = np.zeros((len(rows), _MEMORY))
+    eye = np.eye(_MEMORY)
+    Rinv = np.tile(eye, (len(rows), 1, 1))
+    iters = np.zeros(len(rows), dtype=int)
+    gamma = np.ones(len(rows))
+    nit, nfev = 0, 1
+    stop = np.abs(g).max(axis=1) <= gtol
+    while True:
+        if stop.any():
+            x_out[rows[stop]], g_out[rows[stop]] = x[stop], g[stop]
+            live = ~stop
+            rows, x, f, g, S, Y = rows[live], x[live], f[live], g[live], S[live], Y[live]
+            D, Rinv, iters, gamma = D[live], Rinv[live], iters[live], gamma[live]
+        if not rows.size:
+            return BatchMinimum(x_out.reshape(shape), g_out.reshape(shape), nit, nfev)
+        nit += 1
+        d = -_inverse_hessian_times(S, Y, D, Rinv, gamma, g)
+        slope = np.einsum("bi,bi->b", g, d)
+        fresh = D[:, -1] == 0.0
+        step = np.where(fresh, np.minimum(1.0, 1.0 / np.linalg.norm(d, axis=1)), 1.0)
+        xn, fn, gn = x.copy(), f.copy(), g.copy()
+        pending = slope < 0.0
+        moved = np.zeros(len(rows), dtype=bool)
+        for _ in range(_BACKTRACKS):
+            i = np.flatnonzero(pending)
+            if not i.size:
+                break
+            xt = x[i] + step[i, None] * d[i]
+            ft, gt = evaluate(xt, rows[i])
+            nfev += 1
+            ok = (ft < f[i]) & (ft <= f[i] + _ARMIJO * step[i] * slope[i])
+            # a trial that leaves f unchanged is at f's rounding: it is taken
+            # if its gradient is smaller, and the search ends either way
+            tie = ft == f[i]
+            if tie.any():
+                ok |= tie & (np.linalg.norm(gt, axis=1) < np.linalg.norm(g[i], axis=1))
+            j = i[ok]
+            xn[j], fn[j], gn[j] = xt[ok], ft[ok], gt[ok]
+            moved[j] = True
+            pending[i[ok | tie]] = False
+            step[pending] *= 0.5
+        s, y = xn - x, gn - g
+        sy = np.einsum("bi,bi->b", s, y)
+        keep = moved & (sy > np.finfo(float).eps * -(step * slope))
+        if keep.any():
+            # drop the oldest pair and append the new one; the inverse of an
+            # upper triangle keeps its trailing block and gains a column
+            k = slice(None) if keep.all() else np.flatnonzero(keep)
+            S[k, :-1], Y[k, :-1], D[k, :-1] = S[k, 1:], Y[k, 1:], D[k, 1:]
+            S[k, -1], Y[k, -1], D[k, -1] = s[k], y[k], sy[k]
+            Rinv[k, :-1, :-1] = Rinv[k, 1:, 1:]
+            Rinv[k, -1] = 0.0
+            c = (S[k, :-1] @ y[k][..., None]) / sy[k][:, None, None]
+            Rinv[k, :-1, -1:] = -(Rinv[k, :-1, :-1] @ c)
+            Rinv[k, -1, -1] = 1.0 / sy[k]
+            gamma[k] = sy[k] / np.einsum("bi,bi->b", y[k], y[k])
+        iters[moved] += 1
+        # a failed line search clears the memory, or stops a problem that had none
+        clear = ~moved & ~fresh
+        if clear.any():
+            S[clear], Y[clear], D[clear], Rinv[clear], gamma[clear] = 0.0, 0.0, 0.0, eye, 1.0
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(fn)), 1.0)
+        settled = (f - fn <= _FTOL * scale) | (np.abs(gn).max(axis=1) <= gtol)
+        stop = (moved & (settled | (iters >= maxiter))) | (~moved & fresh)
+        x, f, g = xn, fn, gn
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +283,7 @@ def _random_circle(rng, dim: int, n: int, span: float, noise: float) -> Array:
     return pts + noise * rng.standard_normal(pts.shape)
 
 
-def _symmetric_starts(rng, dim: int, N: int, count: int) -> list:
+def _symmetric_starts(rng, dim: int, N: int, count: int) -> Array:
     """The first ``count`` of: half great circles in the coordinate planes,
     then perturbed random ones."""
     eye = np.eye(dim)
@@ -162,50 +291,54 @@ def _symmetric_starts(rng, dim: int, N: int, count: int) -> list:
     starts = [_great_circle(eye[i], eye[j], N, np.pi) for i, j in planes]
     while len(starts) < count:
         starts.append(_random_circle(rng, dim, N, np.pi, 0.1))
-    return starts[:count]
+    return np.stack(starts[:count])
 
 
 def _upsample(x: Array, closure) -> Array:
     """Insert the midpoint between each free vertex and its successor."""
-    nxt = _chain(x, closure)[-x.shape[0] :]
-    out = np.empty((2 * x.shape[0], x.shape[1]))
-    out[0::2] = x
-    out[1::2] = 0.5 * (x + nxt)
+    nxt = _chain(x, closure)[:, -x.shape[1] :]
+    out = np.empty((x.shape[0], 2 * x.shape[1], x.shape[2]))
+    out[:, 0::2] = x
+    out[:, 1::2] = 0.5 * (x + nxt)
     return out
 
 
+def _richardson(L: Array):
+    """Extrapolated value and error estimate from lengths L (..., levels) at
+    halving mesh sizes, whose error is O(h^2).  Each pair of successive
+    levels gives a Richardson value (4 L_k - L_{k-1}) / 3; the estimate is
+    the change between the last two of them, the O(h^4) term, or |L_2 -
+    L_1| / 3 with one Richardson value, and NaN with one level."""
+    if L.shape[-1] == 1:
+        return L[..., -1], np.full(L.shape[:-1], np.nan)
+    R = (4.0 * L[..., 1:] - L[..., :-1]) / 3.0
+    if R.shape[-1] == 1:
+        return R[..., -1], np.abs(L[..., -1] - L[..., -2]) / 3.0
+    return R[..., -1], np.abs(R[..., -1] - R[..., -2])
+
+
 def _continuation(sphere, x, closure, tol, maxiter, levels):
-    """Minimize the energy from the surface polygon x, doubling the vertex
-    count at each further level, with Richardson extrapolation of the last
-    two lengths.  Returns (value, error, lengths, x, residual)."""
+    """Minimize the energies of the surface polygons x (B, n, dim) together,
+    doubling the vertex count at each further level.  Returns per polygon
+    the extrapolated value and its error, the lengths (B, levels), the final
+    vertices and the norm of the final gradient."""
     if levels < 1:
         raise PreconditionError("levels must be >= 1")
-    dim = x.shape[1]
 
-    def fun(z):
-        E, g = _energy_and_grad(sphere, z.reshape(-1, dim), closure)
-        return E, g.ravel()
+    def fun(z, rows):
+        ends = closure if isinstance(closure, str) else tuple(e[rows] for e in closure)
+        return _energy_and_grad(sphere, z, ends)
 
     lengths = []
     for lvl in range(levels):
         if lvl > 0:
             x = project_to_surface(sphere.body1, _upsample(x, closure))
-        res = minimize(
-            fun,
-            x.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": 1e-16, "gtol": tol, "maxiter": maxiter, "maxcor": 20},
-        )
-        x = project_to_surface(sphere.body1, res.x.reshape(-1, dim))
-        resid = float(np.linalg.norm(res.jac))
+        res = minimize(fun, x, tol, maxiter)
+        x = project_to_surface(sphere.body1, res.x)
         lengths.append(_length(sphere, x, closure))
-    if len(lengths) >= 2:
-        value = (4.0 * lengths[-1] - lengths[-2]) / 3.0
-        err = abs(lengths[-1] - lengths[-2]) / 3.0
-    else:
-        value, err = lengths[-1], np.nan
-    return value, err, lengths, x, resid
+    lengths = np.stack(lengths, axis=-1)
+    resid = np.linalg.norm(res.jac.reshape(len(x), -1), axis=1)
+    return (*_richardson(lengths), lengths, x, resid)
 
 
 def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthResult:
@@ -218,32 +351,23 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
         raise UnsupportedInputError("girth requires ambient dimension >= 3")
     rng = np.random.default_rng(opts.seed)
     starts = _symmetric_starts(rng, sphere.dim, opts.N, opts.starts)
-
-    best = None
-    start_lengths = []
-    for idx, x0 in enumerate(starts):
-        value, err, lengths, x, resid = _continuation(
-            sphere,
-            project_to_surface(sphere.body1, x0),
-            "symmetric",
-            opts.tol,
-            4000,
-            opts.levels,
-        )
-        start_lengths.append(value)
-        if best is None or value < best[0]:
-            best = (value, err, lengths, x, resid, idx)
-    value, err, lengths, x, resid, idx = best
+    x0 = project_to_surface(sphere.body1, starts)
+    value, err, lengths, x, resid = _continuation(
+        sphere, x0, "symmetric", opts.tol, 4000, opts.levels
+    )
+    idx = int(np.argmin(value))
     cert = {
-        "first_order_residual": resid,
-        "continuation_lengths": lengths,
-        "richardson_error": err,
+        "first_order_residual": float(resid[idx]),
+        "continuation_lengths": lengths[idx].tolist(),
+        "richardson_error": float(err[idx]),
         "start_index": idx,
-        "start_lengths": start_lengths,
-        "n_half_final": x.shape[0],
-        "certified": bool(resid <= max(opts.tol * 100.0, 1e-6)),
+        "start_lengths": value.tolist(),
+        "n_half_final": x.shape[1],
+        "certified": bool(resid[idx] <= max(opts.tol * 100.0, 1e-6)),
     }
-    return GirthResult(girth=value, curve=DiscreteSymmetricCurve(x), certificate=cert)
+    return GirthResult(
+        girth=float(value[idx]), curve=DiscreteSymmetricCurve(x[idx]), certificate=cert
+    )
 
 
 def dual_girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthResult:
@@ -275,19 +399,16 @@ def length_spectrum_probe(
     if k_starts < 1:
         raise PreconditionError("k_starts must be >= 1")
     rng = np.random.default_rng(seed)
-    runs = [("symmetric", x0) for x0 in _symmetric_starts(rng, sphere.dim, N, k_starts)]
-    runs += [
-        ("closed", _random_circle(rng, sphere.dim, 2 * N, 2.0 * np.pi, 0.05))
-        for _ in range(2)
-    ]
+    sym = _symmetric_starts(rng, sphere.dim, N, k_starts)
+    loops = [_random_circle(rng, sphere.dim, 2 * N, 2.0 * np.pi, 0.05) for _ in range(2)]
     found = []
-    for closure, x0 in runs:
+    for closure, x0 in (("symmetric", sym), ("closed", np.stack(loops))):
         value, _, _, _, resid = _continuation(
             sphere, project_to_surface(sphere.body1, x0), closure, 1e-11, 4000, levels
         )
         # a closed loop that shrinks to a point is contractible, not a geodesic
-        if resid <= 1e-5 and (closure == "symmetric" or value > 1e-2):
-            found.append(value)
+        keep = (resid <= 1e-5) & ((closure == "symmetric") | (value > 1e-2))
+        found += value[keep].tolist()
     found.sort()
     clustered = []
     for v in found:
@@ -318,6 +439,22 @@ def _slerp_arc(a: Array, b: Array, K: int, rng) -> Array:
     )[:, None] * bh
 
 
+def _path_start(sphere: EmbeddedSphere, a: Array, b: Array, K: int, rng):
+    """Surface endpoints a, b and the K - 1 interior vertices of the
+    projected slerp arc between them."""
+    a = project_to_surface(sphere.body1, np.asarray(a, float))
+    b = project_to_surface(sphere.body1, np.asarray(b, float))
+    pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
+    return a, b, pts[1:-1]
+
+
+def _path_lengths(sphere: EmbeddedSphere, starts: list) -> Array:
+    """Chord-gauge lengths of locally shortest discrete paths (endpoints
+    fixed, interior vertices free) from a list of :func:`_path_start`s."""
+    a, b, x = (np.stack(part) for part in zip(*starts))
+    return _continuation(sphere, x, (a, b), 1e-10, 2000, 2)[2][:, -1]
+
+
 def shortest_path_length(
     sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24, rng=None
 ) -> float:
@@ -325,11 +462,7 @@ def shortest_path_length(
     (endpoints fixed, interior vertices free).  A lower bound for the true
     induced distance."""
     rng = rng or np.random.default_rng(0)
-    a = project_to_surface(sphere.body1, np.asarray(a, float))
-    b = project_to_surface(sphere.body1, np.asarray(b, float))
-    pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
-    _, _, lengths, _, _ = _continuation(sphere, pts[1:-1], (a, b), 1e-10, 2000, 2)
-    return lengths[-1]
+    return float(_path_lengths(sphere, [_path_start(sphere, a, b, K, rng)])[0])
 
 
 def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24) -> float:
@@ -338,12 +471,12 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
     if m_pairs < 1:
         raise PreconditionError("m_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(m_pairs):
-        a = rng.standard_normal(sphere.dim)
-        b = rng.standard_normal(sphere.dim)
-        best = max(best, shortest_path_length(sphere, a, b, K=K, rng=rng))
-    return best
+    dim = sphere.dim
+    starts = [
+        _path_start(sphere, rng.standard_normal(dim), rng.standard_normal(dim), K, rng)
+        for _ in range(m_pairs)
+    ]
+    return float(np.max(_path_lengths(sphere, starts)))
 
 
 # ---------------------------------------------------------------------------

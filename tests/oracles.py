@@ -2,11 +2,14 @@
 
 Everything here avoids the library's own code paths: perimeter by 1-D
 quadrature, derivatives by central differences, support values by brute
-mesh maximization.
+mesh maximization, polygon minimization by scipy's L-BFGS-B.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -93,3 +96,32 @@ def dense_section_support(body2, e1, e2, beta, n_scan):
         safe = np.where(denom > 0.0, denom, 1.0)
         h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
     return h
+
+
+def lbfgsb(fun, x0, gtol, maxiter):
+    """scipy's L-BFGS-B on each problem of a stack alone (memory 20,
+    relative decrease 1e-16): a drop-in for ``geodesics.minimize``, with
+    nit and nfev summed over the problems."""
+    shape = x0.shape[1:]
+    runs = []
+    for i in range(len(x0)):
+
+        def f(z, rows=np.array([i])):
+            E, g = fun(z.reshape((1,) + shape), rows)
+            return E[0], g.ravel()
+
+        runs.append(
+            minimize(
+                f,
+                x0[i].ravel(),
+                jac=True,
+                method="L-BFGS-B",
+                options={"ftol": 1e-16, "gtol": gtol, "maxiter": maxiter, "maxcor": 20},
+            )
+        )
+    return SimpleNamespace(
+        x=np.stack([r.x.reshape(shape) for r in runs]),
+        jac=np.stack([r.jac.reshape(shape) for r in runs]),
+        nit=sum(r.nit for r in runs),
+        nfev=sum(r.nfev for r in runs),
+    )

@@ -18,17 +18,20 @@ from girthlab import (
     sample_cosphere,
     shortest_path_length,
 )
-from girthlab import bodies, geodesics, metric
+from girthlab import bodies, geodesics, harness, metric
 from girthlab.geodesics import (
     DiscreteSymmetricCurve,
+    _continuation,
     _energy_and_grad,
     _random_circle,
+    _richardson,
     _slerp_arc,
+    _symmetric_starts,
     symmetric_length,
 )
 from girthlab.metric import CoSpherePoint, cosphere_lift, project_to_surface
 
-from oracles import ellipse_perimeter
+from oracles import ellipse_perimeter, lbfgsb
 
 FAST = GirthOptions(N=16, starts=3, seed=0)
 
@@ -255,11 +258,12 @@ def test_energy_gradient_matches_finite_differences(closure, swapped, pm_body6, 
         a = project_to_surface(sphere.body1, np.array([1.0, 0.2, -0.3]))
         b = project_to_surface(sphere.body1, np.array([-0.1, 1.0, 0.6]))
         y = _slerp_arc(a, b, 9, rng)[1:-1]
-        closure = (a, b)
+        closure = (a[None], b[None])
     else:
         n, span = (8, np.pi) if closure == "symmetric" else (12, 2.0 * np.pi)
         y = _random_circle(rng, 3, n, span, 0.1)
-    y = y + 0.05 * rng.standard_normal(y.shape)
+    # a stack of one polygon
+    y = (y + 0.05 * rng.standard_normal(y.shape))[None]
     _, g = _energy_and_grad(sphere, y, closure)
     h = 1e-5
     fd = np.zeros_like(y)
@@ -267,7 +271,110 @@ def test_energy_gradient_matches_finite_differences(closure, swapped, pm_body6, 
         step = np.zeros_like(y)
         step[idx] = h
         fd[idx] = (
-            _energy_and_grad(sphere, y + step, closure)[0]
-            - _energy_and_grad(sphere, y - step, closure)[0]
+            _energy_and_grad(sphere, y + step, closure)[0][0]
+            - _energy_and_grad(sphere, y - step, closure)[0][0]
         ) / (2.0 * h)
     assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
+
+
+def test_richardson_error_is_the_change_of_the_extrapolated_value():
+    # L(h) = L* + a h^2 + b h^4 at halving h: each Richardson value is
+    # L* - 4 b h^4, so the last two differ by 60 b h^4, a bound on the
+    # extrapolated value's error 4 b h^4, where |L_3 - L_2| / 3 is about a h^2
+    Ls, a, b = 2.0 * np.pi, 2.0, -0.5
+    h = 0.2 / 2.0 ** np.arange(3)
+    L = Ls + a * h**2 + b * h**4
+    value, err = _richardson(L)
+    assert value == pytest.approx(Ls - 4.0 * b * h[-1] ** 4, abs=1e-14)
+    assert err == pytest.approx(60.0 * abs(b) * h[-1] ** 4, rel=1e-9)
+    assert abs(value - Ls) <= err < abs(L[-1] - L[-2]) / 3.0
+    # two levels keep the un-extrapolated estimate, one level has none
+    value2, err2 = _richardson(L[:2])
+    assert (value2, err2) == ((4.0 * L[1] - L[0]) / 3.0, abs(L[1] - L[0]) / 3.0)
+    assert np.isnan(_richardson(L[:1])[1])
+
+
+def _logged_minimize(monkeypatch):
+    """Record the problem rows of every energy evaluation."""
+    calls = []
+    solve = geodesics.minimize
+
+    def logged(fun, x0, gtol, maxiter):
+        def fun_logged(z, rows):
+            calls.append(rows.copy())
+            return fun(z, rows)
+
+        return solve(fun_logged, x0, gtol, maxiter)
+
+    monkeypatch.setattr(geodesics, "minimize", logged)
+    return calls
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["primal", "dual"])
+def test_girth_start_in_a_batch_equals_the_start_alone(
+    monkeypatch, swapped, pm_body6, tilted_ellipsoid
+):
+    # the numeric dual's gradient inverse runs on the rows of all live
+    # problems at once; no row may feel the others
+    sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    if swapped:
+        sphere = sphere.swapped()
+    opts = GirthOptions(N=16, starts=4, seed=3)
+    calls = _logged_minimize(monkeypatch)
+    res = girth(sphere, opts)
+    batched = np.bincount(np.concatenate(calls), minlength=opts.starts)
+    starts = project_to_surface(
+        sphere.body1, _symmetric_starts(np.random.default_rng(opts.seed), 3, 16, 4)
+    )
+    best = res.certificate["start_index"]
+    # every start alone on the primal side, the best one on the costlier dual
+    alone = {}
+    for i in [best] if swapped else range(opts.starts):
+        calls.clear()
+        value, err, lengths, x, resid = _continuation(
+            sphere, starts[i : i + 1], "symmetric", opts.tol, 4000, opts.levels
+        )
+        alone[i] = len(calls)
+        if i == best:
+            assert value[0] == res.girth
+            assert x[0].tobytes() == res.curve.half_points.tobytes()
+            assert lengths[0].tolist() == res.certificate["continuation_lengths"]
+            assert (err[0], resid[0]) == (
+                res.certificate["richardson_error"],
+                res.certificate["first_order_residual"],
+            )
+    # a problem is evaluated exactly as often in the batch as alone: once
+    # stopped, it is no longer in the batch
+    assert {i: batched[i] for i in alone} == alone
+
+
+def test_batched_solver_agrees_with_scipy_lbfgsb(
+    monkeypatch, pm_body6, tilted_ellipsoid, round_sphere
+):
+    # scipy's L-BFGS-B run on each problem alone is the reference; per start
+    # the two agree to 3.7e-11 relative or better (girth and dual girth of the
+    # geodesics benchmark at seeds 0-4)
+    def both(f):
+        ours = np.asarray(f())
+        with monkeypatch.context() as m:
+            m.setattr(geodesics, "minimize", lbfgsb)
+            ref = np.asarray(f())
+        assert ours.shape == ref.shape
+        np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=0.0)
+
+    sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    opts = GirthOptions(N=16, starts=4, seed=harness.subseed(0, 10))
+    for s in (sphere, sphere.swapped()):
+        both(lambda: girth(s, opts).certificate["start_lengths"])
+    both(lambda: length_spectrum_probe(round_sphere, 4, seed=0, N=16))
+    path_lengths = geodesics._path_lengths
+    pairs = []
+
+    def spy(*args):
+        pairs.append(path_lengths(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(geodesics, "_path_lengths", spy)
+    both(lambda: diameter_probe(round_sphere, 6, seed=0, K=16))
+    ours, ref = pairs
+    np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=0.0)

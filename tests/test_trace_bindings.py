@@ -7,8 +7,10 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import girthlab
-from girthlab import GaugeBody
+from girthlab import GaugeBody, GirthOptions
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +49,28 @@ def test_experiments_are_harness_functions():
         if fn.__module__ != "girthlab.harness"
     ]
     assert not foreign, f"experiments not defined in girthlab.harness: {foreign}"
+
+
+def test_traced_girth_records_lbfgs_counts_and_changes_nothing(round_sphere):
+    # the traced benchmark reads nit and nfev off every geodesics.minimize
+    # result and compares traced with untraced numbers bit for bit
+    spans = _spans()
+    opts = GirthOptions(N=8, starts=2, levels=2)
+    plain = girthlab.girth(round_sphere, opts)
+    before = spans.bindings(girthlab)
+    tracer = spans.Tracer(girthlab)
+    tracer.install()
+    try:
+        traced = girthlab.girth(round_sphere, opts)
+    finally:
+        tracer.uninstall()
+    assert spans.unchanged(before, spans.bindings(girthlab))
+    name = tracer.arrays()["name"]
+    lbfgs = np.flatnonzero(name == tracer.names.index("geodesics.lbfgs"))
+    assert len(lbfgs) == opts.levels
+    for i in lbfgs:
+        assert np.isfinite([tracer.extra[i]["nit"], tracer.extra[i]["nfev"]]).all()
+        assert tracer.extra[i]["nfev"] >= 1
+    assert traced.girth == plain.girth
+    assert traced.curve.half_points.tobytes() == plain.curve.half_points.tobytes()
+    assert traced.certificate == plain.certificate
