@@ -32,16 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
             default="json",
             help="json report or csv plot tables",
         )
-        p.add_argument("--jobs", type=int, default=None, help="worker threads")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_file(
-            args.config, experiment=args.command, seed=args.seed, jobs=args.jobs
-        )
+        config = ExperimentConfig.from_file(args.config, experiment=args.command, seed=args.seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

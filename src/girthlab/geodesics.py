@@ -50,18 +50,11 @@ class DiscreteSymmetricCurve:
 
 @dataclass
 class CharacteristicTrajectory:
-    samples: list
+    qs: Array
+    ps: Array
     times: Array
     closure_residual: float
     g_drift: float
-
-    @property
-    def qs(self) -> Array:
-        return np.array([s.q for s in self.samples])
-
-    @property
-    def ps(self) -> Array:
-        return np.array([s.p for s in self.samples])
 
 
 @dataclass
@@ -505,7 +498,7 @@ def characteristic_flow(
         raise PreconditionError("start must lie on the unit co-sphere")
     n_steps = int(np.ceil(T / dt))
     h = T / n_steps
-    samples = [CoSpherePoint(q.copy(), p.copy())]
+    qs, ps = [q], [p]
     times = [0.0]
     drift = 0.0
 
@@ -530,13 +523,13 @@ def characteristic_flow(
         p = p / G
         # F2* is 1-homogeneous: the line minimum through p / G is t / G
         k1q, k1p = _field(1.0, n, H1, t / G, m)
-        samples.append(CoSpherePoint(q.copy(), p.copy()))
+        qs.append(q)
+        ps.append(p)
         times.append(times[-1] + h)
-    residual = float(
-        np.linalg.norm(q - samples[0].q) + np.linalg.norm(p - samples[0].p)
-    )
+    residual = float(np.linalg.norm(q - qs[0]) + np.linalg.norm(p - ps[0]))
     return CharacteristicTrajectory(
-        samples=samples,
+        qs=np.array(qs),
+        ps=np.array(ps),
         times=np.array(times),
         closure_residual=residual,
         g_drift=float(drift),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -101,7 +100,6 @@ class ExperimentConfig:
     solver: SolverOptions
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    jobs: int = 1
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -131,7 +129,8 @@ class ExperimentConfig:
         opts = {k: solver_d.get(k, v) for k, v in defaults.items()}
         solver = SolverOptions(
             tol=_finite_float("solver.tol", opts.pop("tol"), positive=True),
-            **{k: _bounded_int(f"solver.{k}", v, 1) for k, v in opts.items()},
+            # a polygon needs at least 3 half points
+            **{k: _bounded_int(f"solver.{k}", v, 3 if k == "N" else 1) for k, v in opts.items()},
         )
         tols_d = d.get("tolerances", {})
         if not isinstance(tols_d, dict):
@@ -149,17 +148,16 @@ class ExperimentConfig:
             solver=solver,
             seed=_bounded_int("seed", d.get("seed", 0), 0),
             tolerances=tols,
-            jobs=_bounded_int("jobs", d.get("jobs", 1), 1),
         )
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
         """Read a JSON config; keyword overrides that are not None replace
         top-level keys before validation."""
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 d = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"invalid JSON config: {exc}") from exc
         if isinstance(d, dict):
             d.update((k, v) for k, v in overrides.items() if v is not None)
@@ -224,15 +222,7 @@ class ExperimentReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "results": self.results,
-            "certificates": self.certificates,
-            "checks": self.checks,
-            "passed": self.passed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
     def canonical_bytes(self) -> bytes:
         """Serialization that is identical for identical
@@ -349,14 +339,9 @@ def _girth_opts(config: ExperimentConfig) -> GirthOptions:
     )
 
 
-def _both_sides(config: ExperimentConfig, sphere: EmbeddedSphere, fn):
-    """``fn(s, side)`` on the sphere (side 0) and on its dual side (side 1),
-    in two threads when ``config.jobs > 1``."""
-    sides = ((sphere, 0), (sphere.swapped(), 1))
-    if config.jobs == 1:
-        return [fn(s, side) for s, side in sides]
-    with ThreadPoolExecutor(max_workers=2) as ex:
-        return list(ex.map(lambda a: fn(*a), sides))
+def _both_sides(sphere: EmbeddedSphere, fn):
+    """``fn(s, side)`` on the sphere (side 0) and on its dual side (side 1)."""
+    return [fn(sphere, 0), fn(sphere.swapped(), 1)]
 
 
 def _girth(config, sphere):
@@ -369,7 +354,7 @@ def _girth(config, sphere):
 
 def _dual_check(config, sphere):
     opts = _girth_opts(config)
-    res, dres = _both_sides(config, sphere, lambda s, side: girth(s, opts))
+    res, dres = _both_sides(sphere, lambda s, side: girth(s, opts))
     gap = abs(res.girth - dres.girth) / res.girth
     results = {
         "girth": res.girth,
@@ -384,7 +369,6 @@ def _dual_check(config, sphere):
 def _spectrum(config, sphere):
     opts = config.solver
     sp, sd = _both_sides(
-        config,
         sphere,
         lambda s, side: length_spectrum_probe(
             s, opts.starts, subseed(config.seed, 20 + side), N=opts.N, levels=opts.levels
@@ -400,7 +384,7 @@ def _spectrum(config, sphere):
 
 
 def _volume(config, sphere):
-    v1, v2 = _both_sides(config, sphere, lambda s, side: ht_volume(s, seed=config.seed))
+    v1, v2 = _both_sides(sphere, lambda s, side: ht_volume(s, seed=config.seed))
     rel = abs(v1.value - v2.value) / v1.value
     combined = (v1.error_estimate + v2.error_estimate) / v1.value
     tol = max(config.tolerances["volume_rel"], 3.0 * combined)
@@ -449,7 +433,7 @@ def _diameter(config, sphere):
     n = config.solver.samples
     m = max(4, n if n <= 200 else 40)
     seeds = (subseed(config.seed, 40), subseed(config.seed, 41))
-    dp, dd = _both_sides(config, sphere, lambda s, side: diameter_probe(s, m, seeds[side]))
+    dp, dd = _both_sides(sphere, lambda s, side: diameter_probe(s, m, seeds[side]))
     results = {"diameter_lower_bound_primal": dp, "diameter_lower_bound_dual": dd}
     return results, [_check("diameter_probe_completed", 0.0, 0.0)]
 
@@ -470,7 +454,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     """Certify bodies, run the experiment, assemble the report."""
     t0 = time.perf_counter()
     body1 = body_from_spec(config.norm1, config.dim)
-    body2 = body_from_spec(config.norm2, config.dim) if config.norm2 else body1
+    body2 = body_from_spec(config.norm2, config.dim) if config.norm2 is not None else body1
     certificates = {}
     checks = []
     n_cert, cert_seed = 2000, subseed(config.seed, 100)

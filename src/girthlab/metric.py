@@ -36,10 +36,6 @@ class EmbeddedSphere:
         return self.body1.dim
 
     @cached_property
-    def dual1(self) -> GaugeBody:
-        return dual_body(self.body1)
-
-    @cached_property
     def dual2(self) -> GaugeBody:
         return dual_body(self.body2)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girthlab import (
+    NumericalFailureError,
     PreconditionError,
     RejectedInputError,
     check_quadratic_convexity,
@@ -15,6 +16,7 @@ from girthlab import (
     make_power_mean,
     scale_body,
 )
+from girthlab import bodies
 from girthlab.bodies import tangent_basis
 
 from oracles import brute_support, fd_gradient, fd_hessian
@@ -219,6 +221,14 @@ def test_dual_hessians_are_inverse(pm_body):
         # gradient-inverse point of x
         Hp = pm_body.hessian_half_sq(x_primal)
         np.testing.assert_allclose(Hd @ Hp, np.eye(3), atol=1e-7)
+
+
+def test_unconverged_dual_inverse_raises(monkeypatch, pm_body):
+    # no Newton pass leaves the quadratic-model start's residual standing
+    monkeypatch.setattr(bodies, "_DUAL_MAXIT", 0)
+    with pytest.raises(NumericalFailureError) as info:
+        bodies.numeric_dual(pm_body).gauge(np.array([0.3, -0.5, 0.8]))
+    assert np.isfinite(info.value.best_bound)
 
 
 def test_convexity_certificate_positive(pm_body, pm_body6, tilted_ellipsoid):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from girthlab.harness import (
 
 AN_E = {"type": "ellipsoid", "matrix": np.diag([1.0, 1.0 / 0.64, 1.0 / 0.36]).tolist()}
 EUCLID = {"type": "ellipsoid", "matrix": np.eye(3).tolist()}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PM = {
     "type": "power_mean",
     "terms": [np.diag([1.0, 2.0, 0.5]).tolist(), np.eye(3).tolist()],
@@ -75,17 +77,6 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     assert err.startswith("error: seed") and err.count("\n") == 1
 
 
-def test_zero_jobs_is_config_error(tmp_path, capsys):
-    d = make_config("girth")
-    d["jobs"] = 0
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(d)
-    path = write_config(tmp_path, make_config("girth"))
-    assert main(["girth", "--config", path, "--jobs", "0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: jobs") and err.count("\n") == 1
-
-
 def _assert_config_exit(tmp_path, capsys, d, start):
     path = write_config(tmp_path, d)
     assert main(["girth", "--config", path]) == 2
@@ -140,6 +131,7 @@ def test_odd_power_mean_exponent_is_config_error(tmp_path, capsys):
         (("solver", "tol"), float("nan"), "solver.tol must be a finite positive number"),
         (("tolerances", "girth_residual"), "loose", "tolerances.girth_residual must be"),
         (("tolerances", "girth_resid"), 1e-6, "unknown tolerances: ['girth_resid']"),
+        (("solver", "N"), 2, "solver.N must be an integer >= 3"),
     ],
 )
 def test_malformed_scalar_is_config_error(tmp_path, capsys, path, value, start):
@@ -149,6 +141,24 @@ def test_malformed_scalar_is_config_error(tmp_path, capsys, path, value, start):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d)
     _assert_config_exit(tmp_path, capsys, d, start)
+
+
+@pytest.mark.parametrize("norm2", [{}, 0, False, "", []])
+def test_falsy_norm2_is_config_error(tmp_path, capsys, norm2):
+    # only null means "same as norm1"
+    d = make_config("girth", norm2=norm2)
+    _assert_config_exit(tmp_path, capsys, d, "norm spec must be an object")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_validate(path):
+    dim = json.loads(path.read_text())["space"]["dim"]
+    for name, (_, min_dim) in harness.EXPERIMENTS.items():
+        if dim >= min_dim:
+            cfg = ExperimentConfig.from_file(path, experiment=name)
+            for spec in (cfg.norm1, cfg.norm2):
+                if spec is not None:
+                    body_from_spec(spec, cfg.dim)
 
 
 def test_body_from_spec_rejects_unknown_type():
@@ -188,14 +198,25 @@ def test_run_dual_check():
     assert rep.results["relative_gap"] <= 5e-3
 
 
+# every two-sided experiment, small: (norm1, solver, seed)
+DETERMINISM_CASES = {
+    "girth": (EUCLID, {"N": 8, "starts": 3}, 3),
+    "dual-check": (AN_E, {"N": 8, "starts": 3}, 0),
+    "spectrum": (AN_E, {"N": 8, "starts": 1, "levels": 1}, 0),
+    "volume": (AN_E, {}, 0),
+    "diameter": (AN_E, {"samples": 1}, 0),
+}
+
+
 def test_report_bytes_are_deterministic():
-    cfg = make_config("girth", solver={"N": 8, "starts": 3}, seed=3)
-    r1 = run(ExperimentConfig.from_dict(cfg))
-    r2 = run(ExperimentConfig.from_dict(cfg))
-    assert r1.canonical_bytes() == r2.canonical_bytes()
-    # wall time differs between runs but never enters the canonical form
-    assert b"wall_time" not in r1.canonical_bytes()
-    assert "wall_time_s" in r1.to_dict()
+    for experiment, (norm1, solver, seed) in DETERMINISM_CASES.items():
+        cfg = make_config(experiment, norm1=norm1, solver=solver, seed=seed)
+        r1 = run(ExperimentConfig.from_dict(cfg))
+        r2 = run(ExperimentConfig.from_dict(cfg))
+        assert r1.canonical_bytes() == r2.canonical_bytes(), experiment
+        # wall time differs between runs but never enters the canonical form
+        assert b"wall_time" not in r1.canonical_bytes()
+        assert "wall_time_s" in r1.to_dict()
 
 
 def test_run_maps_verify():
@@ -228,23 +249,6 @@ def test_maps_verify_gates_the_boundary_round_trip(monkeypatch):
     rep = run(cfg)
     assert dual_sides and not rep.passed
     assert [c["name"] for c in rep.checks if not c["passed"]] == ["phi_roundtrip"]
-
-
-SMALL_SOLVERS = {
-    "dual-check": {"N": 8, "starts": 3},
-    "spectrum": {"N": 8, "starts": 1, "levels": 1},
-    "volume": {},
-    "diameter": {"samples": 1},
-}
-
-
-@pytest.mark.parametrize("experiment", SMALL_SOLVERS)
-def test_run_with_jobs_matches_serial(experiment):
-    base = make_config(experiment, norm1=AN_E, solver=SMALL_SOLVERS[experiment])
-    r1 = run(ExperimentConfig.from_dict(base))
-    base["jobs"] = 2
-    r2 = run(ExperimentConfig.from_dict(base))
-    assert r1.canonical_bytes() == r2.canonical_bytes()
 
 
 @pytest.mark.parametrize("empty_side", [None, 0, 1])
@@ -310,11 +314,13 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_cli_invalid_json_is_usage_error(tmp_path):
+def test_cli_invalid_json_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    code = main(["girth", "--config", str(path)])
-    assert code == 2
+    for content in (b"{nope", b"\xff\xfe\x00garbage"):  # the second is not UTF-8
+        path.write_bytes(content)
+        assert main(["girth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON config") and err.count("\n") == 1, err
 
 
 def test_cli_subcommand_sets_the_experiment_before_validation(tmp_path, capsys):
