@@ -198,25 +198,14 @@ def test_run_dual_check():
     assert rep.results["relative_gap"] <= 5e-3
 
 
-# every two-sided experiment, small: (norm1, solver, seed)
-DETERMINISM_CASES = {
-    "girth": (EUCLID, {"N": 8, "starts": 3}, 3),
-    "dual-check": (AN_E, {"N": 8, "starts": 3}, 0),
-    "spectrum": (AN_E, {"N": 8, "starts": 1, "levels": 1}, 0),
-    "volume": (AN_E, {}, 0),
-    "diameter": (AN_E, {"samples": 1}, 0),
-}
-
-
 def test_report_bytes_are_deterministic():
-    for experiment, (norm1, solver, seed) in DETERMINISM_CASES.items():
-        cfg = make_config(experiment, norm1=norm1, solver=solver, seed=seed)
-        r1 = run(ExperimentConfig.from_dict(cfg))
-        r2 = run(ExperimentConfig.from_dict(cfg))
-        assert r1.canonical_bytes() == r2.canonical_bytes(), experiment
-        # wall time differs between runs but never enters the canonical form
-        assert b"wall_time" not in r1.canonical_bytes()
-        assert "wall_time_s" in r1.to_dict()
+    cfg = make_config("girth", solver={"N": 8, "starts": 3}, seed=3)
+    r1 = run(ExperimentConfig.from_dict(cfg))
+    r2 = run(ExperimentConfig.from_dict(cfg))
+    assert r1.canonical_bytes() == r2.canonical_bytes()
+    # wall time differs between runs but never enters the canonical form
+    assert b"wall_time" not in r1.canonical_bytes()
+    assert "wall_time_s" in r1.to_dict()
 
 
 def test_run_maps_verify():
@@ -249,6 +238,25 @@ def test_maps_verify_gates_the_boundary_round_trip(monkeypatch):
     rep = run(cfg)
     assert dual_sides and not rep.passed
     assert [c["name"] for c in rep.checks if not c["passed"]] == ["phi_roundtrip"]
+
+
+SMALL_SOLVERS = {
+    "dual-check": {"N": 8, "starts": 3},
+    "spectrum": {"N": 8, "starts": 1, "levels": 1},
+    "volume": {},
+    "diameter": {"samples": 1},
+}
+
+
+@pytest.mark.parametrize("experiment", SMALL_SOLVERS)
+def test_run_with_jobs_matches_serial(experiment):
+    # both sides always run in turn; an old config's jobs key is ignored and
+    # the report is byte for byte the one without it (and run to run)
+    base = make_config(experiment, norm1=AN_E, solver=SMALL_SOLVERS[experiment])
+    r1 = run(ExperimentConfig.from_dict(base))
+    base["jobs"] = 2
+    r2 = run(ExperimentConfig.from_dict(base))
+    assert r1.canonical_bytes() == r2.canonical_bytes()
 
 
 @pytest.mark.parametrize("empty_side", [None, 0, 1])
