@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fingerprints of every number girthlab reports, one line per seed and run.
 
-Usage: python scripts/fingerprints.py [--seeds 0 1 2 3 4] [--experiments girth ...]
+Usage: python scripts/fingerprints.py [--seeds 0 1 2 3 4] [--experiments girth ...] [--values]
+       python scripts/fingerprints.py --compare OLD.jsonl NEW.jsonl
 
 Each line is ``seed name sha256``: the sha256 of ``Outcome.fingerprint`` of
 one benchmark workload (all of ``perfbench/workloads.py`` run), or of
@@ -14,11 +15,19 @@ to stderr as ``seed name seconds``, so stdout stays comparable while the
 same run gives per-experiment wall times.  Diameter is left out by default: on
 configs/maps_verify.json it runs 200 path pairs a side, about 30 s a seed on
 a 2-vCPU host, and about 40 s a seed over all four configs.
+
+With ``--values`` each line is instead a JSON object ``{"seed", "name",
+"values"}`` holding the run's reported numbers by path: a workload's check
+values and ``Outcome.values``, or every number of a report's canonical
+JSON.  ``--compare`` reads two such outputs, say of two source trees, and
+prints each run's largest relative change |a - b| / max(|a|, |b|) with the
+number it came from, then the largest over all runs.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -43,28 +52,90 @@ def main(argv=None):
         "--experiments", nargs="*", default=EXPERIMENTS,
         choices=girthlab.harness.EXPERIMENTS,
     )
+    ap.add_argument("--values", action="store_true", help="print reported numbers as JSON lines")
+    ap.add_argument(
+        "--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --values outputs"
+    )
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    emit = _emit_values if args.values else _emit
     configs = sorted((ROOT / "configs").glob("*.json"))
     built = {name: w.setup(girthlab) for name, w in WORKLOADS.items()}
     for seed in args.seeds:
         for name, w in WORKLOADS.items():
             t0 = time.perf_counter()
             out = w.run(girthlab, built[name], seed)
-            _emit(seed, name, out.fingerprint, t0)
+            numbers = {f"checks.{c[0]}": c[1] for c in out.checks}
+            numbers.update((f"values.{k}", v) for k, v in out.values.items())
+            emit(seed, name, out.fingerprint, numbers, t0)
         for path in configs:
             for exp in args.experiments:
                 d = dict(json.loads(path.read_text()), experiment=exp, seed=seed)
                 t0 = time.perf_counter()
-                report = girthlab.run(girthlab.ExperimentConfig.from_dict(d))
-                _emit(seed, f"{path.stem}:{exp}", report.canonical_bytes(), t0)
+                data = girthlab.run(girthlab.ExperimentConfig.from_dict(d)).canonical_bytes()
+                numbers = dict(_numbers(json.loads(data)))
+                emit(seed, f"{path.stem}:{exp}", data, numbers, t0)
 
 
-def _emit(seed, name, data, t0):
+def _emit(seed, name, data, numbers, t0):
     """The fingerprint line on stdout and its elapsed seconds on stderr."""
     elapsed = time.perf_counter() - t0
     print(seed, name, hashlib.sha256(data).hexdigest(), flush=True)
     print(seed, name, f"{elapsed:.2f}", file=sys.stderr, flush=True)
 
 
+def _emit_values(seed, name, data, numbers, t0):
+    """The reported numbers as one JSON line, and the elapsed seconds on stderr."""
+    elapsed = time.perf_counter() - t0
+    print(json.dumps({"seed": seed, "name": name, "values": numbers}), flush=True)
+    print(seed, name, f"{elapsed:.2f}", file=sys.stderr, flush=True)
+
+
+def _numbers(node, path=""):
+    """(dotted path, value) of every int or float in a JSON tree."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _numbers(v, f"{path}.{k}" if path else k)
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _numbers(v, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def _rel_change(a, b):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))  # nan when one side is nan
+
+
+def compare(old_path, new_path):
+    """Print each run's largest relative change between two --values files;
+    exit status 1 when the runs or their number paths differ."""
+    def load(path):
+        with open(path) as fh:
+            return {(r["seed"], r["name"]): r["values"] for r in map(json.loads, fh)}
+
+    old, new = load(old_path), load(new_path)
+    mismatched = sorted(set(old) ^ set(new))
+    worst = (0.0, None)
+    for key in sorted(set(old) & set(new)):
+        a, b = old[key], new[key]
+        if set(a) != set(b):
+            mismatched.append(key)
+            continue
+        changes = [(_rel_change(a[p], b[p]), p) for p in a]
+        change, where = max(changes, key=lambda c: (math.isnan(c[0]), c[0]), default=(0.0, None))
+        line = f"{change:.3g}" + (f" {where} {a[where]!r} -> {b[where]!r}" if change else "")
+        print(key[0], key[1], line)
+        if math.isnan(change) or change > worst[0]:
+            worst = (change, f"{key[0]} {key[1]} {line}")
+    for key in mismatched:
+        print(key[0], key[1], "runs or number paths differ")
+    print("largest relative change", worst[1] if worst[1] else "0")
+    return 1 if mismatched else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

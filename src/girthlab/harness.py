@@ -111,6 +111,9 @@ class ExperimentConfig:
         space = d.get("space")
         if not isinstance(space, dict) or "norm1" not in space:
             raise ConfigError("config requires space.norm1")
+        bad = set(space) - {"dim", "norm1", "norm2"}
+        if bad:
+            raise ConfigError(f"unknown space keys: {sorted(bad)}")
         dim = _bounded_int("space.dim", space.get("dim", 3), 2)
         experiment = d.get("experiment")
         names = tuple(EXPERIMENTS)  # not the dict: a JSON value may be unhashable

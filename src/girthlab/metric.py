@@ -170,47 +170,57 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     """Batched minimizer of t -> Fdual(p + t n), with the dual's jet at the
     minimum xi* = p + t* n up to ``order`` (0 or 1).
 
-    Returns (t*, Fdual(xi*), grad Fdual(xi*) or None).  Works on the
-    strictly convex square of the dual gauge with a safeguarded Newton
-    iteration (bisection fallback on a sign-change bracket) to a relative
-    step of 1e-11.  Entries with p = 0 short-circuit to t = 0 and value 0,
-    with a NaN gradient.  Every pass evaluates only the entries that have
-    not yet converged; evaluators are row-independent, so the result does
-    not depend on the batch an entry shares.
+    Returns (t*, Fdual(xi*), grad Fdual(xi*) or None).  An ellipsoid dual
+    xi'B xi has its minimum in closed form, t* = -(n'B p) / (n'B n), so
+    the only evaluation is the closing jet at xi*.  Every other dual
+    (numeric, power mean, scaled) works on the strictly convex square of
+    the dual gauge with a safeguarded Newton iteration (bisection fallback
+    on a sign-change bracket) to a relative step of 1e-11; every pass
+    evaluates only the entries that have not yet converged.  Entries with
+    p = 0 short-circuit to t = 0 and value 0, with a NaN gradient.  Both
+    paths are row-independent, so the result does not depend on the batch
+    an entry shares.
     """
     pb, nb, single = as_rows(p, n)
-    m = pb.shape[0]
-    t = np.zeros(m)
-    val = np.zeros(m)
-
     pnorm = np.linalg.norm(pb, axis=-1)
     live = ~(pnorm < 1e-300)
-    # a nonempty batch without zero rows takes the closing jet's gradient as it is
-    grad = np.full(pb.shape, np.nan) if order and (m == 0 or not live.all()) else None
-    if np.any(live):
+    if live.size and live.all():
+        out = _live_line_minimum(dual, pb, nb, pnorm, order)
+    else:
         # gather only when some entry is zero: copies of the whole batch
         # would sit beside the Newton loop's compacted arrays
-        pl, nl, pn = (pb, nb, pnorm) if live.all() else (pb[live], nb[live], pnorm[live])
-        scale = pn / np.linalg.norm(nl, axis=-1)
+        m = pb.shape[0]
+        out = np.zeros(m), np.zeros(m), np.full(pb.shape, np.nan) if order else None
+        if live.any():
+            t, val, grad = out
+            t[live], val[live], g = _live_line_minimum(
+                dual, pb[live], nb[live], pnorm[live], order
+            )
+            if order:
+                grad[live] = g
+    return tuple(a[0] if single and a is not None else a for a in out)
 
+
+def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, pnorm: Array, order: int):
+    """:func:`_line_minimum` on rows with p != 0."""
+    if dual.kind == "ellipsoid":
+        B = dual.params["A"]
+        t = -np.einsum("...i,ij,...j->...", n, B, p) / np.einsum("...i,ij,...j->...", n, B, n)
+    else:
+        scale = pnorm / np.linalg.norm(n, axis=-1)
         # initial Newton step from t = 0
-        tl = -np.divide(*_phi_derivatives(dual, pl, nl))
-        step = np.maximum(np.abs(tl), scale)
+        t = -np.divide(*_phi_derivatives(dual, p, n))
+        step = np.maximum(np.abs(t), scale)
 
         def widen(lo, hi):  # sign-change bracket of the slope by expansion
             slope = partial(_slope, dual)
-            _expand_bracket(slope, pl, nl, lo, step, -1.0)
-            _expand_bracket(slope, pl, nl, hi, np.maximum(np.abs(tl), scale), 1.0)
+            _expand_bracket(slope, p, n, lo, step, -1.0)
+            _expand_bracket(slope, p, n, hi, np.maximum(np.abs(t), scale), 1.0)
 
         derivs = partial(_phi_derivatives, dual)
-        _safeguarded_newton(derivs, pl, nl, tl, tl - step, tl + step, 1e-11, scale, widen)
-        t[live] = tl
-        val[live], g, _ = dual.jet(pl + tl[:, None] * nl, order)
-        if grad is None:
-            grad = g
-        else:
-            grad[live] = g
-    return tuple(a[0] if single and a is not None else a for a in (t, val, grad))
+        _safeguarded_newton(derivs, p, n, t, t - step, t + step, 1e-11, scale, widen)
+    F, g, _ = dual.jet(p + t[:, None] * n, order)
+    return t, F, g
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array):

@@ -201,6 +201,43 @@ def test_flow_step_reuses_the_renormalization_as_its_first_stage(
     assert (j16 - j8, l16 - l8) == (4 * 8, 4 * 8)
 
 
+def test_flow_on_ellipsoid_ambient_takes_closed_form_line_minima(
+    monkeypatch, aniso_ellipsoid, euclid
+):
+    # the dual of a Euclidean ambient is an ellipsoid, whose line minimum
+    # has a closed form: no Newton solve, and the closing jet is the one
+    # dual evaluation of each line minimization
+    s = EmbeddedSphere(aniso_ellipsoid, euclid)
+    q, p = sample_cosphere(s, 1, np.random.default_rng(0))
+    dual, jets, lines, newton = s.dual2, [], [], []
+
+    def jet(x, order):
+        jets.append(1)
+        return dual.jet(x, order)
+
+    def counting(calls, fn):
+        def counted(*args):
+            calls.append(1)
+            return fn(*args)
+
+        return counted
+
+    s.dual2 = dataclasses.replace(dual, jet=jet)
+    line_minimum = counting(lines, metric._line_minimum)
+    monkeypatch.setattr(metric, "_line_minimum", line_minimum)
+    monkeypatch.setattr(geodesics, "_line_minimum", line_minimum)
+    monkeypatch.setattr(metric, "_safeguarded_newton", counting(newton, metric._safeguarded_newton))
+    traj = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 1.0, 1.0 / 64)
+    assert newton == []
+    assert len(jets) == len(lines) == 4 * 64 + 2  # the start's G, its k1, 4 a step
+    # a generic copy of the same dual takes the Newton path to the same flow
+    s.dual2 = dataclasses.replace(dual, kind="generic")
+    ref = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 1.0, 1.0 / 64)
+    assert newton
+    np.testing.assert_allclose(traj.qs, ref.qs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.ps, ref.ps, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize(
     "T, dt", [(0.0, 0.1), (1.0, 0.0), (1.0, np.nan), (1.0, -0.1), (np.inf, 0.1), (np.nan, 0.1)]
 )

@@ -150,6 +150,15 @@ def test_falsy_norm2_is_config_error(tmp_path, capsys, norm2):
     _assert_config_exit(tmp_path, capsys, d, "norm spec must be an object")
 
 
+def test_unknown_space_key_is_config_error(tmp_path, capsys):
+    # a misspelled norm2 would otherwise run with norm1 as the ambient
+    d = make_config("girth", norm1=AN_E)
+    d["space"]["nrom2"] = PM
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+    _assert_config_exit(tmp_path, capsys, d, "unknown space keys: ['nrom2']")
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_configs_validate(path):
     dim = json.loads(path.read_text())["space"]["dim"]

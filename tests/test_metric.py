@@ -80,11 +80,17 @@ def _conormal_lines(body1, m, seed):
     return restrict_covector(s, r.standard_normal((m, 3)), q), conormal(s, q)
 
 
-@pytest.mark.parametrize("which", ["numeric_dual", "power_mean"])
-def test_line_minimization_batch_equals_rows(which, pm_body, aniso_ellipsoid):
-    # evaluators are row-independent, so a batched call gives every row the
-    # bits of its own scalar call, whichever entries share its batch
-    dual = dual_body(pm_body) if which == "numeric_dual" else pm_body
+@pytest.mark.parametrize("which", ["numeric_dual", "power_mean", "ellipsoid"])
+def test_line_minimization_batch_equals_rows(which, pm_body, aniso_ellipsoid, tilted_ellipsoid):
+    # evaluators and the ellipsoid's closed form are row-independent, so a
+    # batched call gives every row the bits of its own scalar call,
+    # whichever entries share its batch
+    duals = {
+        "numeric_dual": dual_body(pm_body),
+        "power_mean": pm_body,
+        "ellipsoid": dual_body(tilted_ellipsoid),
+    }
+    dual = duals[which]
     p, n = _conormal_lines(aniso_ellipsoid, 12, 11)
     t, val = minimize_along_conormal(dual, p, n)
     for i in range(len(p)):
@@ -114,11 +120,24 @@ def test_line_minimization_skips_converged_entries(pm_body):
     assert counts["points"] < len(p) * counts["calls"]
 
 
-@pytest.mark.parametrize("which", ["tilted_ellipsoid", "aniso_ellipsoid"])
-def test_line_minimization_matches_ellipsoid_closed_form(which, request):
+def _as_kind(dual, kind):
+    """The dual itself, or a copy whose kind sends it down the Newton path."""
+    return dual if kind == "ellipsoid" else dataclasses.replace(dual, kind=kind)
+
+
+_BOTH_PATHS = [
+    (w, k) for k in ("ellipsoid", "generic") for w in ("tilted_ellipsoid", "aniso_ellipsoid")
+]
+
+
+@pytest.mark.parametrize(
+    "which, kind", _BOTH_PATHS, ids=[w if k == "ellipsoid" else f"{w}-{k}" for w, k in _BOTH_PATHS]
+)
+def test_line_minimization_matches_ellipsoid_closed_form(which, kind, request):
     # the dual of an ellipsoid x'Ax is the ellipsoid xi'Bxi with B = A^-1,
-    # and t -> (p + t n)'B(p + t n) is least at t* = -(n'Bp) / (n'Bn)
-    dual = dual_body(request.getfixturevalue(which))
+    # and t -> (p + t n)'B(p + t n) is least at t* = -(n'Bp) / (n'Bn); the
+    # generic copy checks the safeguarded Newton against the same closed form
+    dual = _as_kind(dual_body(request.getfixturevalue(which)), kind)
     B = dual.params["A"]
     r = np.random.default_rng(3)
     p, n = r.standard_normal((2000, 3)), r.standard_normal((2000, 3))
@@ -147,20 +166,23 @@ def test_safeguarded_newton_keeps_exact_root():
 
 def test_settled_line_skips_bracket(tilted_ellipsoid):
     # on a quadratic dual the Newton step from t = 0 is exact, so one more
-    # evaluation settles the line: no bracket is expanded
-    dual = dual_body(tilted_ellipsoid)
-    counts = {"gradient": 0}
+    # evaluation settles the line: no bracket is expanded.  Both paths in
+    # one test: the ellipsoid's closed form takes no slope evaluation at
+    # all, and a generic copy of the same dual takes the Newton path
+    for kind in ("ellipsoid", "generic"):
+        dual = _as_kind(dual_body(tilted_ellipsoid), kind)
+        counts = {"gradient": 0}
 
-    def counted(x, order):
-        counts["gradient"] += order > 0
-        return dual.jet(x, order)
+        def counted(x, order):
+            counts["gradient"] += order > 0
+            return dual.jet(x, order)
 
-    body = dataclasses.replace(dual, jet=counted)
-    p, n = np.array([0.3, -0.7, 0.2]), np.array([0.5, 0.4, 1.1])
-    t, _ = minimize_along_conormal(body, p, n)
-    assert counts["gradient"] <= 2
-    B = dual.params["A"]
-    assert t == pytest.approx(-(n @ B @ p) / (n @ B @ n), rel=1e-13)
+        body = dataclasses.replace(dual, jet=counted)
+        p, n = np.array([0.3, -0.7, 0.2]), np.array([0.5, 0.4, 1.1])
+        t, _ = minimize_along_conormal(body, p, n)
+        assert counts["gradient"] <= 2
+        B = dual.params["A"]
+        assert t == pytest.approx(-(n @ B @ p) / (n @ B @ n), rel=1e-13)
 
 
 def test_line_exit_root_raises_when_unconverged(aniso_ellipsoid):
