@@ -3,7 +3,7 @@
 Every subcommand reads a JSON config, validates it with the subcommand as
 its experiment, runs that experiment and writes a JSON report (or CSV
 plot tables with --format csv).  Exit status is 0 iff every check in the
-report passed, 2 on configuration errors.
+report passed, 2 on configuration and I/O errors.
 """
 
 from __future__ import annotations
@@ -39,33 +39,26 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config, experiment=args.command, seed=args.seed)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = run(config)
-    except ConfigError as exc:
+        if args.format == "json":
+            text = report.to_json()
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        else:
+            stem = args.out if args.out else f"girthlab_{args.command}"
+            if stem.endswith(".csv"):
+                stem = stem[:-4]
+            for p in emit_plot_data(report, stem):
+                print(p)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GirthlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.format == "json":
-        text = report.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        stem = args.out if args.out else f"girthlab_{args.command}"
-        if stem.endswith(".csv"):
-            stem = stem[:-4]
-        paths = emit_plot_data(report, stem)
-        for p in paths:
-            print(p)
 
     for check in report.checks:
         status = "pass" if check["passed"] else "FAIL"

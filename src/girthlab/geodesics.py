@@ -98,10 +98,6 @@ def _length(sphere: EmbeddedSphere, x: Array, closure) -> Array:
     return 2.0 * L if closure == "symmetric" else L
 
 
-def symmetric_length(sphere: EmbeddedSphere, x: Array) -> float:
-    return float(_length(sphere, x[None], "symmetric")[0])
-
-
 def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
     """Energies of the radially projected polygons and their gradients with
     respect to the free vertices y."""

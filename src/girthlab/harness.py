@@ -36,6 +36,7 @@ from .measures import action, crofton_line_measure, ht_volume
 from .metric import (
     EmbeddedSphere,
     induced_hamiltonian,
+    radial_chart,
     restrict_covector,
     sample_cosphere,
 )
@@ -276,9 +277,7 @@ def _closed_cosphere_loop(sphere: EmbeddedSphere, n_pts: int, seed: int):
     theta = 2.0 * np.pi * np.arange(n_pts) / n_pts
     c = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
     dc = -np.sin(theta)[:, None] * u + np.cos(theta)[:, None] * v
-    F1, g1, _ = sphere.body1.jet(c, 1)
-    q = c / F1[:, None]
-    dq = dc / F1[:, None] - c * (np.einsum("ij,ij->i", g1, dc) / F1**2)[:, None]
+    q, _, dq = radial_chart(sphere.body1, c, dc)
     p = restrict_covector(sphere, sphere.body2.gradient(dq), q)
     return q, p
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bodies import GaugeBody, dual_body, tangent_basis
 from .errors import NumericalFailureError, PreconditionError, UnsupportedInputError
-from .metric import EmbeddedSphere, minimize_along_conormal
+from .metric import EmbeddedSphere, minimize_along_conormal, radial_chart
 
 Array = np.ndarray
 
@@ -116,16 +116,11 @@ def _section_support(body2: GaugeBody, e1: Array, e2: Array, beta: Array, n_scan
     return h
 
 
-def fiber_support_gauge(sphere: EmbeddedSphere, q: Array, p: Array) -> float:
-    """Gauge of the co-disc fiber at one point as the support value of the
-    ambient-ball section by the tangent plane, max over unit tangent v of
-    <p, v>, with the section scan of the volume on a 4096-point grid.  Same
-    function as ``induced_hamiltonian``, different route."""
-    T = tangent_basis(sphere.body1.gradient(np.asarray(q, dtype=float)))
-    a, b = np.asarray(p, dtype=float) @ T
-    beta = np.array([np.arctan2(b, a)])
-    h = _section_support(sphere.body2, T[None, :, 0], T[None, :, 1], beta, 4096)
-    return float(np.hypot(a, b) * h[0, 0])
+def _area(e1: Array, e2: Array, a: Array, b: Array) -> Array:
+    """|det| of the components of a and b in the orthonormal pair (e1, e2):
+    the area of the parallelogram on a and b projected onto that plane."""
+    a1, a2, b1, b2 = (np.einsum("ij,ij->i", e, v) for v in (a, b) for e in (e1, e2))
+    return np.abs(a1 * b2 - a2 * b1)
 
 
 def _sphere_chart(mu: Array, phi: Array):
@@ -153,28 +148,9 @@ def _ht_volume_once(sphere: EmbeddedSphere, k: int) -> float:
     wq = W.ravel()
 
     u, du_dmu, du_dphi = _sphere_chart(mu, ph)
-    F1, g1, _ = body1.jet(u, 1)  # g1 is 0-homogeneous: the same at q
-    q = u / F1[:, None]
-
-    def chart_partial(du):
-        return du / F1[:, None] - u * np.einsum("ij,ij->i", g1, du)[:, None] / (
-            F1**2
-        )[:, None]
-
-    q_mu = chart_partial(du_dmu)
-    q_phi = chart_partial(du_dphi)
-
-    nu = g1 / np.linalg.norm(g1, axis=-1, keepdims=True)
-    T = tangent_basis(g1)
-    e1, e2 = T[..., 0], T[..., 1]
-
-    def psi_dot(e, dq):
-        corr = np.einsum("ij,ij->i", e, q) / np.einsum("ij,ij->i", nu, q)
-        return np.einsum("ij,ij->i", e, dq) - corr * np.einsum("ij,ij->i", nu, dq)
-
-    J = np.abs(
-        psi_dot(e1, q_mu) * psi_dot(e2, q_phi) - psi_dot(e2, q_mu) * psi_dot(e1, q_phi)
-    )
+    _, g1, q_mu, q_phi = radial_chart(body1, u, du_dmu, du_dphi)
+    e1, e2 = tangent_basis(g1).transpose(2, 0, 1)
+    J = _area(e1, e2, q_mu, q_phi)
 
     # fiber areas from the support function of the ambient-ball section by
     # the tangent plane
@@ -251,31 +227,18 @@ def crofton_line_measure(
             remaining -= k
             u = rng.standard_normal((k, 3))
             u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            t1, t2 = tangent_basis(u).transpose(2, 0, 1)
             # gs: grad of the dual gauge, the supporting point of P
-            Fs, gs, _ = dual.jet(u, 1)
-            P = u / Fs[:, None]
-            Tt = tangent_basis(u)
-            t1, t2 = Tt[..., 0], Tt[..., 1]
-
-            def dP(t):
-                return t / Fs[:, None] - u * (
-                    np.einsum("ij,ij->i", gs, t) / Fs**2
-                )[:, None]
-
-            DP1, DP2 = dP(t1), dP(t2)
-            Tc = tangent_basis(P)
-            c1, c2 = Tc[..., 0], Tc[..., 1]
-            J = np.abs(
-                np.einsum("ij,ij->i", c1, DP1) * np.einsum("ij,ij->i", c2, DP2)
-                - np.einsum("ij,ij->i", c2, DP1) * np.einsum("ij,ij->i", c1, DP2)
-            )
+            P, gs, DP1, DP2 = radial_chart(dual, u, t1, t2)
+            c1, c2 = tangent_basis(P).transpose(2, 0, 1)
+            J = _area(c1, c2, DP1, DP2)
 
             rad = R_Q * np.sqrt(rng.random(k))
             ang = 2.0 * np.pi * rng.random(k)
             Q = rad[:, None] * (
                 np.cos(ang)[:, None] * c1 + np.sin(ang)[:, None] * c2
             )
-            del u, P, Tt, t1, t2, DP1, DP2, Tc, c1, c2  # freed before the line solves
+            del u, P, t1, t2, DP1, DP2, c1, c2  # freed before the line solves
             _, val = minimize_along_conormal(M, Q, gs)
             hit = val < 1.0 - 1e-10
             if np.any(hit & (rad > 0.97 * R_Q)):

@@ -58,6 +58,20 @@ def project_to_surface(body: GaugeBody, x: Array) -> Array:
     return np.asarray(x, dtype=float) / body.gauge(x)[..., None]
 
 
+def radial_chart(body: GaugeBody, x: Array, *dx: Array) -> tuple:
+    """(q, grad F, dq_1, ..., dq_k) from one order-1 jet at x: the radial
+    projection q = x / F(x), grad F (0-homogeneous, the same at x and q) and
+    the derivative dx / F - x ((grad F . dx) / F^2) of q along each ``dx``,
+    tangent at q: grad F . dq = 0 by Euler's relation."""
+    x = np.asarray(x, dtype=float)
+    F, g, _ = body.jet(x, 1)
+    dq = (
+        d / F[..., None] - x * (np.einsum("...i,...i->...", g, d) / F**2)[..., None]
+        for d in dx
+    )
+    return (x / F[..., None], g, *dq)
+
+
 def as_rows(a: Array, b: Array):
     """Two float arrays as row batches, and whether ``a`` was one vector:
     a single vector is treated as a batch of one."""
@@ -65,16 +79,13 @@ def as_rows(a: Array, b: Array):
     return np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float)), a.ndim == 1
 
 
-def _require_on_surface(body: GaugeBody, q: Array):
-    if np.any(np.abs(body.gauge(q) - 1.0) > 1e-8):
-        raise PreconditionError("point is not on the unit surface")
-
-
 def conormal(sphere: EmbeddedSphere, q: Array) -> Array:
     """Covector spanning the annihilator of the tangent plane at q, scaled so
-    that <n_q, q> = 1."""
-    _require_on_surface(sphere.body1, q)
-    return sphere.body1.gradient(q)
+    that <n_q, q> = 1, from the one jet that also checks q is on the surface."""
+    F, g, _ = sphere.body1.jet(q, 1)
+    if np.any(np.abs(F - 1.0) > 1e-8):
+        raise PreconditionError("point is not on the unit surface")
+    return g
 
 
 def restrict_covector(sphere: EmbeddedSphere, P: Array, q: Array) -> Array:
@@ -252,11 +263,10 @@ def induced_hamiltonian(sphere: EmbeddedSphere, q: Array, p: Array):
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    _require_on_surface(sphere.body1, q)
+    n = conormal(sphere, q)
     dot = np.einsum("...i,...i->...", p, q)
     if np.any(np.abs(dot) > 1e-8 * (1.0 + np.linalg.norm(p, axis=-1))):
         raise PreconditionError("covector must be canonical: <p, q> = 0")
-    n = sphere.body1.gradient(q)
     _, val = minimize_along_conormal(sphere.dual2, p, n)
     return val
 
@@ -268,7 +278,7 @@ def induced_length(sphere: EmbeddedSphere, points: Array, closed: bool) -> float
         raise PreconditionError("expected a 2-D array of points")
     if closed and pts.shape[0] < 3:
         raise PreconditionError("closed curves need at least 3 points")
-    _require_on_surface(sphere.body1, pts)
+    conormal(sphere, pts)  # raises off the base surface
     chords = np.diff(pts, axis=0)
     total = float(np.sum(sphere.body2.gauge(chords)))
     if closed:

@@ -23,11 +23,11 @@ from girthlab.geodesics import (
     DiscreteSymmetricCurve,
     _continuation,
     _energy_and_grad,
+    _length,
     _random_circle,
     _richardson,
     _slerp_arc,
     _symmetric_starts,
-    symmetric_length,
 )
 from girthlab.metric import CoSpherePoint, cosphere_lift, project_to_surface
 
@@ -258,6 +258,11 @@ def test_diameter_probe_round_sphere(round_sphere):
     d = diameter_probe(round_sphere, 6, seed=0, K=16)
     assert d <= np.pi * (1.0 + 1e-6)
     assert d >= 1.0  # random pairs are rarely all close
+
+
+def symmetric_length(sphere, x):
+    """Length of the centrally symmetric polygon on the half chain x."""
+    return float(_length(sphere, x[None], "symmetric")[0])
 
 
 def test_symmetric_length_definition(round_sphere):

@@ -326,6 +326,15 @@ def test_cli_csv_output(tmp_path):
     assert len(lines) >= 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, fmt):
+    path = write_config(tmp_path, make_config("girth", solver={"N": 8, "starts": 3}))
+    out = tmp_path / "missing" / "r.json"
+    assert main(["girth", "--config", path, "--format", fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     code = main(["girth", "--config", str(tmp_path / "nope.json")])
     assert code == 2

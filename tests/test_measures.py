@@ -13,7 +13,7 @@ from girthlab import (
     sample_cosphere,
 )
 from girthlab.bodies import dual_body, tangent_basis
-from girthlab.measures import _ht_volume_once, _section_support, _settle, fiber_support_gauge
+from girthlab.measures import _ht_volume_once, _section_support, _settle
 
 from oracles import dense_section_support
 
@@ -54,6 +54,18 @@ def test_closed_action_orientation_flip():
 
 # ---------------------------------------------------------------------------
 # fiber support gauge vs the Hamiltonian
+
+
+def fiber_support_gauge(sphere, q, p):
+    """Gauge of the co-disc fiber at one point as the support value of the
+    ambient-ball section by the tangent plane, max over unit tangent v of
+    <p, v>, with the section scan of the volume on a 4096-point grid.  Same
+    function as ``induced_hamiltonian``, different route."""
+    T = tangent_basis(sphere.body1.gradient(np.asarray(q, dtype=float)))
+    a, b = np.asarray(p, dtype=float) @ T
+    beta = np.array([np.arctan2(b, a)])
+    h = _section_support(sphere.body2, T[None, :, 0], T[None, :, 1], beta, 4096)
+    return float(np.hypot(a, b) * h[0, 0])
 
 
 def test_fiber_support_matches_hamiltonian(aniso_ellipsoid, pm_body):

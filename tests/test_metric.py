@@ -24,6 +24,7 @@ from girthlab.metric import (
     conormal,
     line_exit_root,
     minimize_along_conormal,
+    radial_chart,
 )
 
 from oracles import polygon_length
@@ -54,6 +55,59 @@ def test_conormal_pairing(round_sphere, pm_body, euclid):
 def test_conormal_requires_surface_point(round_sphere):
     with pytest.raises(PreconditionError):
         conormal(round_sphere, np.array([1.5, 0.0, 0.0]))
+
+
+def test_conormal_and_hamiltonian_take_one_base_jet(pm_body, euclid):
+    calls = []
+
+    def jet(x, order):
+        calls.append(order)
+        return pm_body.jet(x, order)
+
+    s = EmbeddedSphere(dataclasses.replace(pm_body, jet=jet), euclid)
+    q, p = sample_cosphere(EmbeddedSphere(pm_body, euclid), 20, RNG)
+    conormal(s, q)
+    assert calls == [1]
+    calls.clear()
+    induced_hamiltonian(s, q, p)
+    assert calls == [1]
+    for f in (lambda: conormal(s, 1.5 * q), lambda: induced_hamiltonian(s, 1.5 * q, p)):
+        with pytest.raises(PreconditionError):
+            f()
+
+
+@pytest.fixture(params=["tilted_ellipsoid", "pm_body", "numeric_dual"])
+def chart_body(request):
+    if request.param == "numeric_dual":
+        return dual_body(request.getfixturevalue("pm_body6"))
+    return request.getfixturevalue(request.param)
+
+
+def test_radial_chart_derivatives_are_tangent_and_match_differences(chart_body):
+    r = np.random.default_rng(11)
+    x = r.standard_normal((40, 3)) * r.uniform(0.5, 2.0, (40, 1))
+    d1, d2 = r.standard_normal((2, 40, 3))
+    q, g, dq1, dq2 = radial_chart(chart_body, x, d1, d2)
+    np.testing.assert_array_equal(q, x / chart_body.gauge(x)[:, None])
+    np.testing.assert_array_equal(g, chart_body.gradient(x))
+    h = 1e-6
+    for d, dq in ((d1, dq1), (d2, dq2)):
+        fd = project_to_surface(chart_body, x + h * d) - project_to_surface(chart_body, x - h * d)
+        err = np.linalg.norm(fd / (2.0 * h) - dq, axis=-1)
+        size = np.linalg.norm(dq, axis=-1)
+        assert np.all(err <= 1e-7 * size)
+        # Euler's relation: dq is tangent at q, with grad F taken at x or at q
+        for grad in (g, chart_body.gradient(q)):
+            assert np.all(np.abs(np.einsum("ij,ij->i", grad, dq)) <= 1e-14 * size)
+
+
+def test_radial_chart_batch_equals_rows(chart_body):
+    r = np.random.default_rng(12)
+    x, d = r.standard_normal((2, 33, 3))
+    full = radial_chart(chart_body, x, d)
+    rows = [radial_chart(chart_body, x[i : i + 1], d[i : i + 1]) for i in range(33)]
+    for k, a in enumerate(full):
+        assert np.concatenate([row[k] for row in rows]).tobytes() == a.tobytes()
 
 
 def test_restrict_covector_is_canonical_and_idempotent(pm_body, euclid):
