@@ -21,7 +21,9 @@ With ``--values`` each line is instead a JSON object ``{"seed", "name",
 values and ``Outcome.values``, or every number of a report's canonical
 JSON.  ``--compare`` reads two such outputs, say of two source trees, and
 prints each run's largest relative change |a - b| / max(|a|, |b|) with the
-number it came from, then the largest over all runs.
+number it came from, then the largest over all runs, and the largest over
+the numbers of magnitude max(|a|, |b|) above 1e-12, whose relative change
+is not a rounding residual's.
 """
 
 import argparse
@@ -119,22 +121,35 @@ def compare(old_path, new_path):
 
     old, new = load(old_path), load(new_path)
     mismatched = sorted(set(old) ^ set(new))
-    worst = (0.0, None)
+    worst, worst_above = (0.0, None), (0.0, None)
     for key in sorted(set(old) & set(new)):
         a, b = old[key], new[key]
         if set(a) != set(b):
             mismatched.append(key)
             continue
         changes = [(_rel_change(a[p], b[p]), p) for p in a]
-        change, where = max(changes, key=lambda c: (math.isnan(c[0]), c[0]), default=(0.0, None))
-        line = f"{change:.3g}" + (f" {where} {a[where]!r} -> {b[where]!r}" if change else "")
+        change, line = _largest(key, a, b, changes)
         print(key[0], key[1], line)
-        if math.isnan(change) or change > worst[0]:
-            worst = (change, f"{key[0]} {key[1]} {line}")
+        worst = max(worst, (change, f"{key[0]} {key[1]} {line}"), key=_order)
+        above = [c for c in changes if abs(a[c[1]]) > 1e-12 or abs(b[c[1]]) > 1e-12]
+        change, line = _largest(key, a, b, above)
+        worst_above = max(worst_above, (change, f"{key[0]} {key[1]} {line}"), key=_order)
     for key in mismatched:
         print(key[0], key[1], "runs or number paths differ")
     print("largest relative change", worst[1] if worst[1] else "0")
+    print("largest relative change above 1e-12", worst_above[1] if worst_above[1] else "0")
     return 1 if mismatched else 0
+
+
+def _order(c):
+    """Sort key of (change, ...): NaN above every number."""
+    return (math.isnan(c[0]), c[0])
+
+
+def _largest(key, a, b, changes):
+    """The largest of (change, path) pairs and its report line."""
+    change, where = max(changes, key=_order, default=(0.0, None))
+    return change, f"{change:.3g}" + (f" {where} {a[where]!r} -> {b[where]!r}" if change else "")
 
 
 if __name__ == "__main__":

@@ -212,7 +212,7 @@ _DUAL_TOL = 1e-13
 _DUAL_MAXIT = 80
 
 
-def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
+def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] = None) -> Array:
     """Solve grad(0.5 F^2)(x) = xi for each covector in the batch.
 
     The map is the gradient of a strongly convex 2-homogeneous function, so
@@ -220,32 +220,52 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
     quadratic-model start ``H(xi)^{-1} xi``.  A row whose residual is still
     above 1e-9 after ``_DUAL_MAXIT`` passes raises
     :class:`NumericalFailureError` with the largest support value reached.
+
+    With an orthonormal ``basis`` T of shape (m, n, k), one per row of a
+    (m, n) batch, the same iteration runs on the section x = T z from the
+    start T'H(xi)T z = T'xi: it solves T'(grad(0.5 F^2)(T z) - xi) = 0 and
+    returns x = T z, the minimizer of 0.5 F(x)^2 - <xi, x> over the section,
+    so F(x) is the largest <xi, y> / F(y) there.
     """
     xi = np.asarray(xi, dtype=float)
     xib = xi.reshape(-1, xi.shape[-1])
     nrm, xin = _normalized(xib)
 
-    def g(x):
-        return half_sq_jet(body, x, hessian=False)[1]
+    def lift(z, T):
+        return z if T is None else np.einsum("...ia,...a->...i", T, z)
 
-    x = np.linalg.solve(body.hessian_half_sq(xin), xin[..., None])[..., 0]
-    r = xin - g(x)
+    def project(v, T):
+        return v if T is None else np.einsum("...ia,...i->...a", T, v)
+
+    def residual(target, z, T):
+        return project(target - half_sq_jet(body, lift(z, T), hessian=False)[1], T)
+
+    def newton_step(x, r, T):
+        H = body.hessian_half_sq(x)
+        if T is not None:
+            H = np.swapaxes(T, -1, -2) @ H @ T
+        return np.linalg.solve(H, r[..., None])[..., 0]
+
+    z = newton_step(xin, project(xin, basis), basis)
+    r = residual(xin, z, basis)
     res = np.linalg.norm(r, axis=-1)
     active = res > _DUAL_TOL
     for _ in range(_DUAL_MAXIT):
         if not np.any(active):
             break
-        xa = x[active]
+        Ta = None if basis is None else basis[active]
+        target = xin[active]
+        za = z[active]
         ra = r[active]
-        d = np.linalg.solve(body.hessian_half_sq(xa), ra[..., None])[..., 0]
-        lam = np.ones(xa.shape[0])
-        best = xa.copy()
+        d = newton_step(lift(za, Ta), ra, Ta)
+        lam = np.ones(za.shape[0])
+        best = za.copy()
         bestr = ra.copy()
         bestres = np.linalg.norm(ra, axis=-1)
-        pending = np.ones(xa.shape[0], dtype=bool)
+        pending = np.ones(za.shape[0], dtype=bool)
         for _bt in range(30):
-            trial = xa + lam[:, None] * d
-            tr = xin[active] - g(trial)
+            trial = za + lam[:, None] * d
+            tr = residual(target, trial, Ta)
             tres = np.linalg.norm(tr, axis=-1)
             ok = pending & (tres < (1.0 - 1e-4 * lam) * bestres)
             best[ok] = trial[ok]
@@ -255,10 +275,11 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array) -> Array:
             if not np.any(pending):
                 break
             lam[pending] *= 0.5
-        x[active] = best
+        z[active] = best
         r[active] = bestr
         res[active] = bestres
         active = ~(res <= _DUAL_TOL)
+    x = lift(z, basis)
     if not np.all(res <= 1e-9):  # NaN rows fail too
         support = np.einsum("...i,...i->...", xib, x / body.gauge(x)[..., None])
         raise NumericalFailureError(
@@ -306,7 +327,11 @@ def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
 
     The jet takes one gradient-inverse solve y of the primal and the
     primal's jet there: F*(xi) = F(y), grad F*(xi) = y / F(y) and
-    Hess(0.5 F*^2)(xi) = Hess(0.5 F^2)(y)^{-1}.
+    Hess(0.5 F*^2)(xi) = Hess(0.5 F^2)(y)^{-1}.  The conormal line minimum
+    min_t F*(p + t n) does not call this jet: ``metric._line_minimum``
+    recognizes the kind "dual" and solves the gradient inverse once on the
+    primal's section n'x = 0 instead, with the ``basis`` argument of the
+    same Newton solver.
     """
 
     def jet(xi, order):

@@ -20,6 +20,7 @@ from .errors import (
 from .metric import (
     EmbeddedSphere,
     _line_minimum,
+    _restrict,
     as_rows,
     conormal,
     line_exit_root,
@@ -73,13 +74,6 @@ def solve_line_sphere(sphere: EmbeddedSphere, q: Array, p: Array) -> LineSphereS
     return LineSphereSolution(*(a[0] if single else a for a in fields))
 
 
-def _transposed_restriction(q: Array, P: Array, m: Array) -> Array:
-    """Canonical representative of q restricted to the tangent plane of the
-    dual ambient surface at P, where the dual gauge has gradient m."""
-    coeff = np.einsum("...i,...i->...", P, q)
-    return q - coeff[..., None] * m
-
-
 def phi(sphere: EmbeddedSphere, q: Array, p: Array):
     """Boundary map: tangency point of the conormal line and the transposed
     restriction.  Requires (q, p) on the co-sphere.  Batched: (q, p) of
@@ -90,7 +84,7 @@ def phi(sphere: EmbeddedSphere, q: Array, p: Array):
     if np.any(np.abs(G - 1.0) > _BOUNDARY_BAND):
         raise PreconditionError("phi requires co-sphere points (G = 1)")
     P = p + t_star[:, None] * n
-    Q = _transposed_restriction(q, P, m)
+    Q = _restrict(q, P, m)  # q on the tangent plane of the dual ambient at P
     return (P[0], Q[0]) if single else (P, Q)
 
 
@@ -106,7 +100,7 @@ def Phi(sphere: EmbeddedSphere, q: Array, p: Array):
             "input lies in the boundary band; use phi for co-sphere points"
         )
     P = sol.P_plus  # exit root: d/dt Fdual > 0 there
-    Q = _transposed_restriction(q, P, sphere.dual2.gradient(P))
+    Q = _restrict(q, P, sphere.dual2.gradient(P))
     return (P[0], Q[0]) if single else (P, Q)
 
 

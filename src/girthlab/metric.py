@@ -14,7 +14,13 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bodies import GaugeBody, dual_body, half_sq_jet
+from .bodies import (
+    GaugeBody,
+    _solve_gradient_inverse,
+    dual_body,
+    half_sq_jet,
+    tangent_basis,
+)
 from .errors import NumericalFailureError, PreconditionError
 
 Array = np.ndarray
@@ -91,10 +97,13 @@ def conormal(sphere: EmbeddedSphere, q: Array) -> Array:
 def restrict_covector(sphere: EmbeddedSphere, P: Array, q: Array) -> Array:
     """Canonical representative of the restriction of an ambient covector P
     to the tangent plane at q: subtract the conormal component."""
-    P = np.asarray(P, dtype=float)
-    n = conormal(sphere, q)
-    coeff = np.einsum("...i,...i->...", P, np.asarray(q, dtype=float))
-    return P - coeff[..., None] * n
+    return _restrict(np.asarray(P, dtype=float), np.asarray(q, dtype=float), conormal(sphere, q))
+
+
+def _restrict(P: Array, q: Array, n: Array) -> Array:
+    """P - <P, q> n: the representative of P on the kernel of q that
+    differs from P by a multiple of n, for <n, q> = 1."""
+    return P - np.einsum("...i,...i->...", P, q)[..., None] * n
 
 
 def _slope(dual: GaugeBody, xi: Array, n: Array) -> Array:
@@ -181,16 +190,27 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     """Batched minimizer of t -> Fdual(p + t n), with the dual's jet at the
     minimum xi* = p + t* n up to ``order`` (0 or 1).
 
-    Returns (t*, Fdual(xi*), grad Fdual(xi*) or None).  An ellipsoid dual
-    xi'B xi has its minimum in closed form, t* = -(n'B p) / (n'B n), so
-    the only evaluation is the closing jet at xi*.  Every other dual
-    (numeric, power mean, scaled) works on the strictly convex square of
-    the dual gauge with a safeguarded Newton iteration (bisection fallback
-    on a sign-change bracket) to a relative step of 1e-11; every pass
-    evaluates only the entries that have not yet converged.  Entries with
-    p = 0 short-circuit to t = 0 and value 0, with a NaN gradient.  Both
-    paths are row-independent, so the result does not depend on the batch
-    an entry shares.
+    Returns (t*, Fdual(xi*), grad Fdual(xi*) or None), by one of three
+    routes chosen from the dual's kind:
+
+    - closed form: an ellipsoid dual xi'B xi has t* = -(n'B p) / (n'B n),
+      and the closing jet at xi* is the only evaluation;
+    - primal section: a numeric dual of a primal F (kind "dual") is never
+      evaluated.  min_t F*(p + t n) = max{<p, x> : F(x) <= 1, <n, x> = 0}
+      (the dual of a norm restricted to a subspace is the quotient of the
+      dual norm; Rockafellar, Convex Analysis, 1970, section 16), so one
+      damped Newton solve of the gradient inverse on the section n'x = 0
+      gives the maximizer x, and from it t*, F*(xi*) = F(x) and
+      grad F*(xi*) = x / F(x) (:func:`_section_line_minimum`);
+    - safeguarded Newton: every other dual (power mean, scaled) works on
+      the strictly convex square of the dual gauge with a safeguarded
+      Newton iteration (bisection fallback on a sign-change bracket) to a
+      relative step of 1e-11, then takes the closing jet at xi*.
+
+    Iterative routes evaluate only the entries that have not yet
+    converged.  Entries with p = 0 short-circuit to t = 0 and value 0, with
+    a NaN gradient.  Every route is row-independent, so the result does not
+    depend on the batch an entry shares.
     """
     pb, nb, single = as_rows(p, n)
     pnorm = np.linalg.norm(pb, axis=-1)
@@ -214,6 +234,8 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
 
 def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, pnorm: Array, order: int):
     """:func:`_line_minimum` on rows with p != 0."""
+    if dual.kind == "dual" and "primal" in dual.params:
+        return _section_line_minimum(dual.params["primal"], p, n, order)
     if dual.kind == "ellipsoid":
         B = dual.params["A"]
         t = -np.einsum("...i,ij,...j->...", n, B, p) / np.einsum("...i,ij,...j->...", n, B, n)
@@ -232,6 +254,16 @@ def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, pnorm: Array, order:
         _safeguarded_newton(derivs, p, n, t, t - step, t + step, 1e-11, scale, widen)
     F, g, _ = dual.jet(p + t[:, None] * n, order)
     return t, F, g
+
+
+def _section_line_minimum(primal: GaugeBody, p: Array, n: Array, order: int):
+    """The primal-section route of :func:`_line_minimum` on the numeric
+    dual of ``primal``: the section solve gives x with grad(0.5 F^2)(x) =
+    p + t* n, so t* = <grad(0.5 F^2)(x) - p, n> / |n|^2."""
+    x = _solve_gradient_inverse(primal, p, tangent_basis(n))
+    F, g, _ = half_sq_jet(primal, x, hessian=False)
+    t = np.einsum("...i,...i->...", g - p, n) / np.einsum("...i,...i->...", n, n)
+    return t, F, x / F[:, None] if order else None
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array):
@@ -297,7 +329,7 @@ def sample_cosphere(sphere: EmbeddedSphere, m: int, rng) -> tuple[Array, Array]:
     """Deterministic batch of m points on the unit co-sphere bundle."""
     q = rng.standard_normal((m, sphere.dim))
     q = project_to_surface(sphere.body1, q)
-    P = rng.standard_normal((m, sphere.dim))
-    p = restrict_covector(sphere, P, q)
-    G = induced_hamiltonian(sphere, q, p)
+    n = conormal(sphere, q)
+    p = _restrict(rng.standard_normal((m, sphere.dim)), q, n)
+    _, G = minimize_along_conormal(sphere.dual2, p, n)
     return q, p / G[:, None]

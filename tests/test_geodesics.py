@@ -129,20 +129,23 @@ def test_flow_follows_girth_geodesic(euclid, aniso_ellipsoid):
 
 
 def test_flow_on_numeric_dual_ambient(monkeypatch, aniso_ellipsoid, pm_body):
-    # dual2 is the numeric dual of pm4: no Newton step from t = 0 is exact,
-    # so the conormal minimizer expands its bracket on every call
-    expand = metric._expand_bracket
-    expanded = []
+    # dual2 is the numeric dual of pm4: every line minimum is one section
+    # solve on pm4 itself, with no bracket and no 1-D Newton iteration
+    calls = {"_expand_bracket": [], "_safeguarded_newton": []}
 
-    def counted(*args):
-        expanded.append(1)
-        return expand(*args)
+    def counting(made, fn):
+        def counted(*args):
+            made.append(1)
+            return fn(*args)
 
-    monkeypatch.setattr(metric, "_expand_bracket", counted)
+        return counted
+
+    for name, made in calls.items():
+        monkeypatch.setattr(metric, name, counting(made, getattr(metric, name)))
     s = EmbeddedSphere(aniso_ellipsoid, pm_body)
     q, p = sample_cosphere(s, 1, np.random.default_rng(0))
     traj = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 0.5, 0.5 / 64)
-    assert expanded
+    assert calls == {"_expand_bracket": [], "_safeguarded_newton": []}
     assert traj.g_drift <= 1e-10
     G = induced_hamiltonian(s, traj.qs, traj.ps)
     np.testing.assert_allclose(G, 1.0, atol=1e-10)
@@ -151,10 +154,11 @@ def test_flow_on_numeric_dual_ambient(monkeypatch, aniso_ellipsoid, pm_body):
 def test_flow_field_takes_the_dual_gradient_from_the_line_minimum(
     monkeypatch, aniso_ellipsoid, pm_body
 ):
-    # the flow of test_flow_on_numeric_dual_ambient evaluates its field 256
-    # times; each takes grad F* at the line minimum from the minimizer's
-    # closing jet, where a separate gradient call made one more
-    # gradient-inverse solve (2824 in all)
+    # the flow of test_flow_on_numeric_dual_ambient makes 258 line minima
+    # (the start's G, its first stage, 4 stages a step).  Each is one
+    # section solve of the gradient inverse, which also gives grad F* at
+    # the minimum; the 1-D Newton route made 2064 solves, and 2824 when
+    # grad F* was a separate call
     s = EmbeddedSphere(aniso_ellipsoid, pm_body)
     q, p = sample_cosphere(s, 1, np.random.default_rng(0))
     solve = bodies._solve_gradient_inverse
@@ -165,8 +169,9 @@ def test_flow_field_takes_the_dual_gradient_from_the_line_minimum(
         return solve(*args)
 
     monkeypatch.setattr(bodies, "_solve_gradient_inverse", counted)
+    monkeypatch.setattr(metric, "_solve_gradient_inverse", counted)
     characteristic_flow(s, CoSpherePoint(q[0], p[0]), 0.5, 0.5 / 64)
-    assert len(calls) <= 2824 - 256
+    assert len(calls) <= 4 * 64 + 2
 
 
 def test_flow_step_reuses_the_renormalization_as_its_first_stage(
