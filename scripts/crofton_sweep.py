@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Convergence sweep for the Monte Carlo line measure: ratio of the
 measure of meeting lines to pi times the Holmes-Thompson volume, at
-increasing sample counts.  Emits a CSV table to stdout.
+increasing sample counts.  Emits a CSV table to stdout, and each row's
+line-measure wall seconds to stderr as ``samples seconds``, so stdout stays
+comparable while the same run shows the speed at each sample count.
 
 Usage: python scripts/crofton_sweep.py [--seed N] [--max-exp 6]
 """
 
 import argparse
+import sys
+import time
 
 import numpy as np
 
@@ -32,9 +36,12 @@ def main():
     print("samples,ratio,stderr_rel")
     for k in range(3, args.max_exp + 1):
         n = 10**k
+        t0 = time.perf_counter()
         rep = crofton_line_measure(ambient, M, n, seed=args.seed)
+        elapsed = time.perf_counter() - t0
         ratio = rep.value / (np.pi * vol)
-        print(f"{n},{float(ratio)!r},{float(rep.error_estimate / rep.value)!r}")
+        print(f"{n},{float(ratio)!r},{float(rep.error_estimate / rep.value)!r}", flush=True)
+        print(n, f"{elapsed:.3f}", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

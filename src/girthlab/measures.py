@@ -183,6 +183,9 @@ def ht_volume(sphere: EmbeddedSphere, seed: int = 0) -> VolumeReport:
 # the Crofton measure of oriented lines
 
 _BATCH = 200_000  # lines drawn per batch
+# relative shrink of the gauge floor before the cull: far above the
+# rounding of eigvalsh and of the line distances
+_FLOOR_MARGIN = 1e-9
 
 
 def _euclid_radius(body: GaugeBody) -> float:
@@ -190,6 +193,23 @@ def _euclid_radius(body: GaugeBody) -> float:
     d = rng.standard_normal((2048, body.dim))
     d /= np.linalg.norm(d, axis=-1, keepdims=True)
     return float((1.0 / body.gauge(d)).max())
+
+
+def _gauge_floor(body: GaugeBody) -> float:
+    """The largest m with F(x) >= m |x| that the body's kind gives in
+    closed form: sqrt(lambda_min(A)) for an ellipsoid (attained at the
+    eigenvector), (sum_i lambda_min(A_i)^{p/2})^{1/p} for a power mean
+    (each x'A_i x >= lambda_min(A_i) |x|^2), lam times the base's floor for
+    a scaled body, and 0 for any other kind."""
+    if body.kind == "ellipsoid":
+        return float(np.sqrt(np.linalg.eigvalsh(body.params["A"])[0]))
+    if body.kind == "power_mean":
+        p = body.params["p"]
+        lam = np.linalg.eigvalsh(body.params["mats"])[:, 0]
+        return float(np.sum(lam ** (p // 2)) ** (1.0 / p))
+    if body.kind == "scaled":
+        return body.params["lam"] * _gauge_floor(body.params["base"])
+    return 0.0
 
 
 def crofton_line_measure(
@@ -206,14 +226,30 @@ def crofton_line_measure(
     surface and the moment Q uniformly in a disc of canonical-coordinate
     radius large enough to contain every line meeting M; hits near the disc
     edge trigger an enlarged-region retry.
+
+    Only lines that can meet M go to the line solve.  Take the gauge floor
+    F_M(x) >= m |x| of :func:`_gauge_floor`, shrunk by ``_FLOOR_MARGIN``.
+    Every point of the line Q + t gs is at least d = |Q - (<Q, gs> /
+    |gs|^2) gs| from the origin in the Euclidean norm, so min_t F_M >= m d.
+    A line with m d >= 1 therefore has a line minimum of at least 1 and is
+    one the hit test val < 1 - 1e-10 rejects anyway: dropping it changes
+    no hit, and as the line minimum of a row does not depend on its batch,
+    the result is bit-identical to solving every line.  Kinds
+    without a closed-form floor (a numeric dual, a generic body) get m = 0,
+    and then every line is solved.
     """
     if ambient.dim != 3:
         raise UnsupportedInputError("line measures are implemented for dimension 3")
+    if M.dim != ambient.dim:
+        raise PreconditionError("both bodies must share the ambient dimension")
+    if n_samples < 1:
+        raise PreconditionError("n_samples must be >= 1")
     dual = dual_body(ambient)
     r_M = _euclid_radius(M) * 1.05
     r_P = _euclid_radius(dual) * 1.05  # max Euclidean norm over the dual surface
     r_L = _euclid_radius(ambient) * 1.05  # supporting points lie on the unit surface
     R_Q = r_M * (1.0 + r_P * r_L) * 1.1
+    m_M = _gauge_floor(M) * (1.0 - _FLOOR_MARGIN)
 
     for _attempt in range(4):
         rng = np.random.default_rng(seed)
@@ -239,8 +275,13 @@ def crofton_line_measure(
                 np.cos(ang)[:, None] * c1 + np.sin(ang)[:, None] * c2
             )
             del u, P, t1, t2, DP1, DP2, c1, c2  # freed before the line solves
-            _, val = minimize_along_conormal(M, Q, gs)
-            hit = val < 1.0 - 1e-10
+            # Euclidean distance of each line Q + t gs from the origin
+            s = np.einsum("ij,ij->i", Q, gs) / np.einsum("ij,ij->i", gs, gs)
+            d = np.linalg.norm(Q - s[:, None] * gs, axis=-1)
+            cand = np.flatnonzero(m_M * d < 1.0)  # lines that may meet M
+            hit = np.zeros(k, dtype=bool)
+            _, val = minimize_along_conormal(M, Q[cand], gs[cand])
+            hit[cand] = val < 1.0 - 1e-10
             if np.any(hit & (rad > 0.97 * R_Q)):
                 overflow = True
                 break

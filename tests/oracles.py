@@ -2,7 +2,9 @@
 
 Everything here avoids the library's own code paths: perimeter by 1-D
 quadrature, derivatives by central differences, support values by brute
-mesh maximization, polygon minimization by scipy's L-BFGS-B.
+mesh maximization, polygon minimization by scipy's L-BFGS-B.  The one
+exception is the unculled Crofton loop, which is the library's line
+measure with the conormal line minimum run on every sampled line.
 """
 
 from types import SimpleNamespace
@@ -10,6 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize
+
+from girthlab.bodies import dual_body, tangent_basis
+from girthlab.measures import _BATCH, VolumeReport, _area, _euclid_radius
+from girthlab.metric import minimize_along_conormal, radial_chart
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -96,6 +102,73 @@ def dense_section_support(body2, e1, e2, beta, n_scan):
         safe = np.where(denom > 0.0, denom, 1.0)
         h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
     return h
+
+
+def draw_lines(dual, R_Q, k, rng):
+    """One batch of k oriented lines as the Crofton measure draws them:
+    the supporting point gs of a direction datum P on the dual unit
+    surface, a moment Q uniform in the disc of radius R_Q orthogonal to P,
+    the chart density J and the moment's radius.  Returns (Q, gs, J, rad)."""
+    u = rng.standard_normal((k, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    t1, t2 = tangent_basis(u).transpose(2, 0, 1)
+    P, gs, DP1, DP2 = radial_chart(dual, u, t1, t2)
+    c1, c2 = tangent_basis(P).transpose(2, 0, 1)
+    J = _area(c1, c2, DP1, DP2)
+    rad = R_Q * np.sqrt(rng.random(k))
+    ang = 2.0 * np.pi * rng.random(k)
+    Q = rad[:, None] * (np.cos(ang)[:, None] * c1 + np.sin(ang)[:, None] * c2)
+    return Q, gs, J, rad
+
+
+def crofton_radius(ambient, M):
+    """The moment-disc radius R_Q that the Crofton measure starts from."""
+    r_M = _euclid_radius(M) * 1.05
+    r_P = _euclid_radius(dual_body(ambient)) * 1.05
+    r_L = _euclid_radius(ambient) * 1.05
+    return r_M * (1.0 + r_P * r_L) * 1.1
+
+
+def unculled_crofton(ambient, M, n_samples, seed):
+    """The Crofton line measure with the conormal line minimum run on every
+    sampled line, no line dropped beforehand: same draws, radius, retry
+    and sums as ``crofton_line_measure``."""
+    dual = dual_body(ambient)
+    R_Q = crofton_radius(ambient, M)
+    for _attempt in range(4):
+        rng = np.random.default_rng(seed)
+        total = total_sq = 0.0
+        count = 0
+        overflow = False
+        remaining = n_samples
+        while remaining > 0:
+            k = min(_BATCH, remaining)
+            remaining -= k
+            Q, gs, J, rad = draw_lines(dual, R_Q, k, rng)
+            _, val = minimize_along_conormal(M, Q, gs)
+            hit = val < 1.0 - 1e-10
+            if np.any(hit & (rad > 0.97 * R_Q)):
+                overflow = True
+                break
+            X = J * hit
+            total += float(X.sum())
+            total_sq += float((X**2).sum())
+            count += k
+        if overflow:
+            R_Q *= 1.5
+            continue
+        norm = 4.0 * np.pi * np.pi * R_Q**2
+        mean = total / count
+        var = max(total_sq / count - mean**2, 0.0)
+        return VolumeReport(
+            value=norm * mean,
+            method="monte_carlo",
+            samples=count,
+            seed=seed,
+            error_estimate=norm * np.sqrt(var / count),
+            details={"R_Q": R_Q, "hit_fraction": mean},
+        )
+    raise RuntimeError("bounding region kept overflowing")
 
 
 def lbfgsb(fun, x0, gtol, maxiter):

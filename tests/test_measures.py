@@ -3,6 +3,7 @@ import pytest
 
 from girthlab import (
     EmbeddedSphere,
+    PreconditionError,
     UnsupportedInputError,
     action,
     crofton_line_measure,
@@ -12,10 +13,17 @@ from girthlab import (
     make_power_mean,
     sample_cosphere,
 )
-from girthlab.bodies import dual_body, tangent_basis
-from girthlab.measures import _ht_volume_once, _section_support, _settle
+from girthlab.bodies import dual_body, numeric_dual, scale_body, tangent_basis
+from girthlab.measures import (
+    _FLOOR_MARGIN,
+    _gauge_floor,
+    _ht_volume_once,
+    _section_support,
+    _settle,
+)
+from girthlab.metric import minimize_along_conormal
 
-from oracles import dense_section_support
+from oracles import crofton_radius, dense_section_support, draw_lines, unculled_crofton
 
 RNG = np.random.default_rng(23)
 
@@ -236,3 +244,72 @@ def test_crofton_dimension_restriction():
     E = make_ellipsoid(np.eye(4))
     with pytest.raises(UnsupportedInputError):
         crofton_line_measure(E, E, 100, seed=0)
+
+
+def test_crofton_rejects_a_nonpositive_sample_count(euclid):
+    for n in (0, -5):
+        with pytest.raises(PreconditionError, match="n_samples must be >= 1"):
+            crofton_line_measure(euclid, euclid, n, seed=0)
+
+
+def test_crofton_rejects_bodies_of_another_dimension(euclid):
+    for dim in (2, 4):
+        M = make_ellipsoid(np.eye(dim))
+        with pytest.raises(PreconditionError, match="share the ambient dimension"):
+            crofton_line_measure(euclid, M, 100, seed=0)
+
+
+def test_crofton_is_pinned(scan_bodies):
+    # pm4 in e-amb at the crofton workload's batch of 200k lines
+    rep = crofton_line_measure(scan_bodies["e-amb"], scan_bodies["pm4"], 200_000, seed=0)
+    assert rep.value == pytest.approx(26.148594037562447, rel=1e-13)
+    assert rep.error_estimate == pytest.approx(0.19549336890603086, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the gauge floor that culls Crofton lines
+
+
+def test_gauge_floor_bounds_the_gauge(aniso_ellipsoid, tilted_ellipsoid, pm_body, pm_body6):
+    u = np.random.default_rng(31).standard_normal((10_000, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    for body in (aniso_ellipsoid, tilted_ellipsoid, pm_body, pm_body6, scale_body(pm_body, 1.7)):
+        m = _gauge_floor(body)
+        assert m > 0.0
+        assert np.all(body.gauge(u) >= m), body.label
+
+
+def test_gauge_floor_is_tight_on_an_ellipsoid(aniso_ellipsoid, tilted_ellipsoid):
+    for body in (aniso_ellipsoid, tilted_ellipsoid):
+        v = np.linalg.eigh(body.params["A"])[1][:, 0]
+        assert body.gauge(v) == pytest.approx(_gauge_floor(body), rel=1e-15, abs=0.0)
+
+
+def test_gauge_floor_of_a_numeric_dual_is_zero(pm_body):
+    assert _gauge_floor(numeric_dual(pm_body)) == 0.0
+    assert _gauge_floor(dual_body(pm_body)) == 0.0
+
+
+@pytest.mark.parametrize("name", ["pm4", "pm6"])
+def test_culled_lines_miss_the_body(scan_bodies, name):
+    ambient, M = scan_bodies["e-amb"], scan_bodies[name]
+    Q, gs, _, _ = draw_lines(
+        dual_body(ambient), crofton_radius(ambient, M), 50_000, np.random.default_rng(4)
+    )
+    s = np.einsum("ij,ij->i", Q, gs) / np.einsum("ij,ij->i", gs, gs)
+    d = np.linalg.norm(Q - s[:, None] * gs, axis=-1)
+    dropped = _gauge_floor(M) * (1.0 - _FLOOR_MARGIN) * d >= 1.0
+    assert 0.5 < dropped.mean() < 1.0
+    _, val = minimize_along_conormal(M, Q[dropped], gs[dropped])
+    assert val.min() >= 1.0
+
+
+@pytest.mark.parametrize("ambient, M", [("e-amb", "pm4"), ("ball", "e-086"), ("pm4", "e-tilt")])
+def test_crofton_equals_the_unculled_loop(scan_bodies, ambient, M):
+    args = scan_bodies[ambient], scan_bodies[M], 50_000, 2
+    rep, ref = crofton_line_measure(*args), unculled_crofton(*args)
+    assert (rep.value, rep.error_estimate, rep.details) == (
+        ref.value,
+        ref.error_estimate,
+        ref.details,
+    )
