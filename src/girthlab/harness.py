@@ -71,15 +71,14 @@ def _bounded_int(name: str, value, minimum: int) -> int:
     return out
 
 
-def _finite_float(name: str, value, positive: bool = False) -> float:
+def _finite_float(name: str, value) -> float:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         or not math.isfinite(value)
-        or (positive and value <= 0)
+        or value <= 0
     ):
-        kind = "a finite positive number" if positive else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
 
@@ -132,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver options: {sorted(bad)}")
         opts = {k: solver_d.get(k, v) for k, v in defaults.items()}
         solver = SolverOptions(
-            tol=_finite_float("solver.tol", opts.pop("tol"), positive=True),
+            tol=_finite_float("solver.tol", opts.pop("tol")),
             # a polygon needs at least 3 half points
             **{k: _bounded_int(f"solver.{k}", v, 3 if k == "N" else 1) for k, v in opts.items()},
         )

@@ -2,10 +2,12 @@
 
 Volumes are computed for 3-dimensional ambient spaces only: base surfaces
 are 2-D, cotangent fibers are 2-D and the line space is 4-D.  The fiber
-body of the induced metric is handled through the support function of the
-ambient-ball *section* by the tangent plane, which needs only primal gauge
-evaluations; the equivalence with the conormal-line minimization used by
-``induced_hamiltonian`` is covered by tests.
+of the unit co-disc bundle is the polar, inside the tangent plane, of the
+ambient-ball *section* by that plane; its area comes from the order-2 jet
+of the ambient gauge along the section (:func:`_polar_area`).  The tests
+check that area against the ellipse closed form, against the conormal
+line minimum of ``induced_hamiltonian`` (the section's support function)
+and against a dense scan of the section.
 """
 
 from __future__ import annotations
@@ -58,62 +60,8 @@ def trajectory_action(traj) -> float:
 # Holmes-Thompson volume
 
 # coarse grid: Gauss-Legendre nodes in cos(theta), azimuths, section
-# directions of the fiber area, section scan points; the fine grid doubles
-# each
-_N_MU, _N_PHI, _N_BETA, _N_SCAN = 24, 48, 64, 256
-
-
-def _settle(cosmat: Array, R: Array, j: Array):
-    """Move each index j (rows, B) to a local maximum of f(i) = cosmat[b, i] *
-    R[row, i], ties to the lower index as in np.argmax; f at j, j + 1, j - 1."""
-    n = R.shape[1]
-    b, row = np.arange(cosmat.shape[0]), np.arange(R.shape[0])[:, None]
-    for _ in range(n):
-        jp, jm = (j + 1) % n, (j - 1) % n
-        f0, fp, fm = (cosmat[b, i] * R[row, i] for i in (j, jp, jm))
-        up = (fp > f0) | ((fp == f0) & (jp < j))
-        down = (fm > f0) | ((fm == f0) & (jm < j))
-        if not (up.any() or down.any()):
-            return f0, fp, fm
-        up &= ~down | (fp > fm) | ((fp == fm) & (jp < jm))
-        j = np.where(up, jp, np.where(down, jm, j))
-    raise NumericalFailureError("section support: the scan maximum did not settle")
-
-
-def _section_support(body2: GaugeBody, e1: Array, e2: Array, beta: Array, n_scan: int):
-    """Support function h(beta) of each section of the ambient ball by the
-    plane of orthonormal (e1, e2), in the direction cos(beta) e1 +
-    sin(beta) e2: the largest cos(beta - s) / F2(cos(s) e1 + sin(s) e2)
-    over n_scan section directions s, refined by a parabola through the
-    best scan point and its neighbours.  Returns shape (rows, len(beta)).
-    The scan points bound a convex polygon, so the best is the vertex whose
-    edge normals bracket beta (rotating calipers), as np.argmax picks it."""
-    svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
-    cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
-    K = e1.shape[0]
-    h = np.empty((K, beta.size))
-    chunk = max(1, 2**17 // n_scan)
-    cs, sn = np.cos(svals), np.sin(svals)
-    for lo in range(0, K, chunk):
-        hi = min(K, lo + chunk)
-        w = (
-            cs[None, :, None] * e1[lo:hi, None, :]
-            + sn[None, :, None] * e2[lo:hi, None, :]
-        )  # (k, S, 3)
-        R = 1.0 / body2.gauge(w)  # (k, S)
-        # outward normal angles of the edges s -> s + 1, in [a0, a0 + 2 pi)
-        # along a row; rows 4 pi apart make one sorted array
-        x, y = R * cs, R * sn
-        ang = np.unwrap(np.arctan2(x - np.roll(x, -1, 1), np.roll(y, -1, 1) - y))
-        a0, row = ang[:, :1], np.arange(hi - lo)[:, None]
-        b = a0 + np.mod(beta - a0, 2.0 * np.pi) + 4.0 * np.pi * row
-        j = np.searchsorted((ang + 4.0 * np.pi * row).ravel(), b.ravel())
-        j = (j.reshape(b.shape) - n_scan * row) % n_scan  # (k, B)
-        f0, fp, fm = _settle(cosmat, R, j)
-        denom = 2.0 * f0 - fp - fm
-        safe = np.where(denom > 0.0, denom, 1.0)
-        h[lo:hi] = np.where(denom > 0.0, f0 + (fp - fm) ** 2 / (8.0 * safe), f0)
-    return h
+# directions of the fiber area; the fine grid doubles each
+_N_MU, _N_PHI, _N_BETA = 24, 48, 64
 
 
 def _area(e1: Array, e2: Array, a: Array, b: Array) -> Array:
@@ -121,6 +69,23 @@ def _area(e1: Array, e2: Array, a: Array, b: Array) -> Array:
     the area of the parallelogram on a and b projected onto that plane."""
     a1, a2, b1, b2 = (np.einsum("ij,ij->i", e, v) for v in (a, b) for e in (e1, e2))
     return np.abs(a1 * b2 - a2 * b1)
+
+
+def _polar_area(body2: GaugeBody, e1: Array, e2: Array, n_beta: int) -> Array:
+    """Area of the polar, inside the plane E of orthonormal (e1, e2), of
+    each section B2 & E of the ambient ball: the HT fiber area.  Its
+    boundary is w(s) = P_E grad F2(d), d = cos(s) e1 + sin(s) e2 (grad F2 is
+    0-homogeneous), and its area 0.5 * integral of det(w, w') ds, summed by
+    the trapezoid rule on n_beta angles.  w' = P_E Hess(F2)(d) d' with
+    Hess(F2) = (Hess(0.5 F2^2) - grad F2 grad F2') / F2; the rank-one part
+    is parallel to w, so it drops out of det(w, w'), which is positive on
+    the convex polar.  Returns shape (rows,)."""
+    total = np.zeros(e1.shape[0])
+    for s in 2.0 * np.pi * np.arange(n_beta) / n_beta:
+        c, sn = np.cos(s), np.sin(s)
+        F, g, H = body2.jet(c * e1 + sn * e2, 2)
+        total += _area(e1, e2, g, np.einsum("kij,kj->ki", H, c * e2 - sn * e1)) / F
+    return total * (np.pi / n_beta)
 
 
 def _sphere_chart(mu: Array, phi: Array):
@@ -137,7 +102,7 @@ def _sphere_chart(mu: Array, phi: Array):
 
 def _ht_volume_once(sphere: EmbeddedSphere, k: int) -> float:
     """The volume quadrature on the coarse grid refined k times."""
-    n_mu, n_phi, n_beta, n_scan = k * _N_MU, k * _N_PHI, k * _N_BETA, k * _N_SCAN
+    n_mu, n_phi = k * _N_MU, k * _N_PHI
     body1, body2 = sphere.body1, sphere.body2
     nodes, wts = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -151,13 +116,7 @@ def _ht_volume_once(sphere: EmbeddedSphere, k: int) -> float:
     _, g1, q_mu, q_phi = radial_chart(body1, u, du_dmu, du_dphi)
     e1, e2 = tangent_basis(g1).transpose(2, 0, 1)
     J = _area(e1, e2, q_mu, q_phi)
-
-    # fiber areas from the support function of the ambient-ball section by
-    # the tangent plane
-    beta = 2.0 * np.pi * np.arange(n_beta) / n_beta
-    h = _section_support(body2, e1, e2, beta, n_scan)
-    areas = 0.5 * np.sum(h**-2.0, axis=-1) * (2.0 * np.pi / n_beta)
-
+    areas = _polar_area(body2, e1, e2, k * _N_BETA)
     return float(np.sum(wq * J * areas) / np.pi)
 
 

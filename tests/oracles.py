@@ -77,7 +77,9 @@ def dense_section_support(body2, e1, e2, beta, n_scan):
     """Support function of ambient-ball sections by brute mesh maximization:
     the largest cos(beta - s) / F2(cos(s) e1 + sin(s) e2) over every scan
     direction s, refined by a parabola through the best scan point and its
-    neighbours.  Returns shape (rows, len(beta))."""
+    neighbours.  Returns shape (rows, len(beta)).  The oracle for the
+    volume's fiber area, 0.5 * integral of h^-2, and for the fiber gauge of
+    ``fiber_support_gauge`` in the measure tests."""
     svals = 2.0 * np.pi * np.arange(n_scan) / n_scan
     cosmat = np.cos(beta[:, None] - svals[None, :])  # (B, S)
     K = e1.shape[0]

@@ -174,6 +174,7 @@ def test_criterion_6_volume_and_spectrum_equality():
     for w in sd:
         worst_s = max(worst_s, min(abs(w - v) for v in sp))
     ok &= _report("6b spectrum match across dual sides", worst_s, 5e-4)
+    ok &= _report("6c volume equality at quadrature accuracy", worst_v, 1e-10)
     assert ok
 
 

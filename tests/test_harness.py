@@ -132,6 +132,8 @@ def test_odd_power_mean_exponent_is_config_error(tmp_path, capsys):
         (("tolerances", "girth_residual"), "loose", "tolerances.girth_residual must be"),
         (("tolerances", "girth_resid"), 1e-6, "unknown tolerances: ['girth_resid']"),
         (("solver", "N"), 2, "solver.N must be an integer >= 3"),
+        (("tolerances", "crofton_rel"), -1e-6, "tolerances.crofton_rel must be a finite positive"),
+        (("tolerances", "volume_rel"), 0.0, "tolerances.volume_rel must be a finite positive"),
     ],
 )
 def test_malformed_scalar_is_config_error(tmp_path, capsys, path, value, start):
