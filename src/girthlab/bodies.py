@@ -20,11 +20,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401 - unused; perfbench's tracer patches it
 
 from .errors import NumericalFailureError, PreconditionError, RejectedInputError
 
 Array = np.ndarray
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported when first called, so importing
+    girthlab does not load scipy.  No girthlab code calls it; it stays as the
+    name perfbench's tracer wraps."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(eq=False)
@@ -61,9 +69,10 @@ class GaugeBody:
 
 def _normalized(x: Array):
     """Split points into Euclidean norm and unit direction (for stable
-    evaluation of homogeneous functions far from the unit scale)."""
-    r = np.linalg.norm(x, axis=-1)
-    if np.any(r == 0.0):
+    evaluation of homogeneous functions far from the unit scale).  The norm
+    is ``np.linalg.norm``'s own sum of squares, without its dispatch."""
+    r = np.sqrt(np.add.reduce(x * x, axis=-1))
+    if not r.all():  # some r == 0; NaN rows pass
         raise PreconditionError("gauge evaluators are undefined at the origin")
     return r, x / r[..., None]
 
@@ -82,11 +91,13 @@ def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
         raise RejectedInputError("ellipsoid matrix must be square")
     _require_spd(A, "ellipsoid matrix")
     n = A.shape[0]
+    AT = np.ascontiguousarray(A.T)  # a row's product has the bits of its batch's
 
     def jet(x, order):
         x = np.asarray(x, dtype=float)
-        F = np.sqrt(np.einsum("...i,ij,...j->...", x, A, x))
-        g = np.einsum("ij,...j->...i", A, x) / F[..., None] if order else None
+        Ax = x @ AT  # rows A x: F and grad F from one product
+        F = np.sqrt(np.add.reduce(x * Ax, axis=-1))
+        g = Ax / F[..., None] if order else None
         H = np.tile(A, x.shape[:-1] + (1, 1)) if order == 2 else None
         return F, g, H
 
@@ -123,19 +134,23 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
     half = p // 2
 
     def jet(x, order):
-        r, xhat = _normalized(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        lead = x.shape[:-1]
+        # rows, so a single point takes the array power of a batch of one
+        # (numpy's power on a 0-d S may differ in the last bit)
+        r, xhat = _normalized(x.reshape(-1, n))
         # s_i = x^T A_i x for unit-scale points
         Ax = np.einsum("kij,...j->...ki", stack, xhat)
         s = np.einsum("...ki,...i->...k", Ax, xhat)
-        S = np.sum(s**half, axis=-1)
-        F = r * S ** (1.0 / p)
+        S = np.add.reduce(s**half, axis=-1)
+        F = (r * S ** (1.0 / p)).reshape(lead)
         if order == 0:
             return F, None, None
         # the gradient and the Hessian of 0.5 F^2 = 0.5 S^{2/p} are
         # 0-homogeneous: evaluate them on unit directions
         w = s ** (half - 1)  # s^{p/2 - 1}
         u = np.einsum("...k,...ki->...i", w, Ax)
-        g = S[..., None] ** (1.0 / p - 1.0) * u
+        g = (S[..., None] ** (1.0 / p - 1.0) * u).reshape(x.shape)
         if order == 1:
             return F, g, None
         c = 2.0 / p - 1.0
@@ -149,7 +164,7 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
         H = H + (c * p) * (S ** (c - 1.0))[..., None, None] * np.einsum(
             "...i,...j->...ij", u, u
         )
-        return F, g, H
+        return F, g, H.reshape(lead + (n, n))
 
     return GaugeBody(
         dim=n,

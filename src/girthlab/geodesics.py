@@ -473,8 +473,10 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
 
 
 def _field(F1, n, H1, t, m):
-    """(q', p') from the base's jet at q and the line minimum (t, grad m)."""
-    return m, -t * (((H1 - np.outer(n, n)) / F1) @ m)
+    """The flat state derivative (q', p') from the base's jet (F1, n, H1)
+    at q and the line minimum (t, m = grad F2*): q' = m and
+    p' = (t / F1) (n (n . m) - H1 m)."""
+    return np.concatenate((m, (t / F1) * (n * (n @ m) - H1 @ m)))
 
 
 def characteristic_flow(
@@ -484,49 +486,56 @@ def characteristic_flow(
     bundle with a classical 4th-order stepper; after each step the point is
     radially re-projected, the covector re-canonicalized and rescaled back
     to the unit level.  The flow parameter is ambient-norm arclength of the
-    base curve."""
+    base curve.
+
+    The stepper carries (q, p) as one flat state of length 2 dim, so each
+    stage combination is one array expression, and writes each step's q
+    and p into row i of the preallocated ``qs`` and ``ps``.  A stage is
+    one order-2 jet of the base at q and one line minimum of the dual
+    ambient through p, both on single points."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise PreconditionError(f"T and dt must be finite and positive, got {T!r}, {dt!r}")
-    q = np.asarray(start.q, dtype=float).copy()
-    p = np.asarray(start.p, dtype=float).copy()
+    q = np.asarray(start.q, dtype=float)
+    p = np.asarray(start.p, dtype=float)
     G0 = float(induced_hamiltonian(sphere, q, p))
     if abs(G0 - 1.0) > 1e-8:
         raise PreconditionError("start must lie on the unit co-sphere")
     n_steps = int(np.ceil(T / dt))
     h = T / n_steps
-    qs, ps = [q], [p]
-    times = [0.0]
+    dim = q.shape[-1]
+    jet, dual = sphere.body1.jet, sphere.dual2
+    qs, ps = np.empty((n_steps + 1, dim)), np.empty((n_steps + 1, dim))
+    qs[0], ps[0] = q, p
     drift = 0.0
 
-    def field(q, p):
-        F1, n, H1 = sphere.body1.jet(q, 2)
-        return _field(F1, n, H1, *_line_minimum(sphere.dual2, p, n, 1)[::2])
+    def field(y):
+        F1, n, H1 = jet(y[:dim], 2)
+        t, _, m = _line_minimum(dual, y[dim:], n, 1)
+        return _field(F1, n, H1, t, m)
 
-    k1q, k1p = field(q, p)
-    for _ in range(n_steps):
-        k2q, k2p = field(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-        k3q, k3p = field(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-        k4q, k4p = field(q + h * k3q, p + h * k3p)
-        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    y = np.concatenate((q, p))
+    k1 = field(y)
+    for i in range(1, n_steps + 1):
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         # one jet projects q and gives the next k1: grad F1 and Hess(0.5 F1^2)
         # are 0-homogeneous, and F1 = 1 after the projection
-        F1, n, H1 = sphere.body1.jet(q, 2)
-        q = q / F1
-        p = p - float(p @ q) * n
-        t, G, m = _line_minimum(sphere.dual2, p, n, 1)
+        F1, n, H1 = jet(y[:dim], 2)
+        q = np.divide(y[:dim], F1, out=qs[i])
+        p = y[dim:] - (y[dim:] @ q) * n
+        t, G, m = _line_minimum(dual, p, n, 1)
         drift = max(drift, abs(float(G) - 1.0))
-        p = p / G
+        np.divide(p, G, out=ps[i])
+        y = np.concatenate((q, ps[i]))
         # F2* is 1-homogeneous: the line minimum through p / G is t / G
-        k1q, k1p = _field(1.0, n, H1, t / G, m)
-        qs.append(q)
-        ps.append(p)
-        times.append(times[-1] + h)
-    residual = float(np.linalg.norm(q - qs[0]) + np.linalg.norm(p - ps[0]))
+        k1 = _field(1.0, n, H1, t / G, m)
+    residual = float(np.linalg.norm(qs[-1] - qs[0]) + np.linalg.norm(ps[-1] - ps[0]))
     return CharacteristicTrajectory(
-        qs=np.array(qs),
-        ps=np.array(ps),
-        times=np.array(times),
+        qs=qs,
+        ps=ps,
+        times=np.concatenate(([0.0], np.cumsum(np.full(n_steps, h)))),
         closure_residual=residual,
         g_drift=float(drift),
     )

@@ -193,8 +193,8 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     Returns (t*, Fdual(xi*), grad Fdual(xi*) or None), by one of three
     routes chosen from the dual's kind:
 
-    - closed form: an ellipsoid dual xi'B xi has t* = -(n'B p) / (n'B n),
-      and the closing jet at xi* is the only evaluation;
+    - closed form: an ellipsoid dual xi'B xi has t* = -(Bn . p) / (Bn . n)
+      with Bn = n'B, and the closing jet at xi* is the only evaluation;
     - primal section: a numeric dual of a primal F (kind "dual") is never
       evaluated.  min_t F*(p + t n) = max{<p, x> : F(x) <= 1, <n, x> = 0}
       (the dual of a norm restricted to a subspace is the quotient of the
@@ -210,37 +210,43 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     Iterative routes evaluate only the entries that have not yet
     converged.  Entries with p = 0 short-circuit to t = 0 and value 0, with
     a NaN gradient.  Every route is row-independent, so the result does not
-    depend on the batch an entry shares.
+    depend on the batch an entry shares.  ``p`` and ``n`` are (m, dim) rows
+    or one (dim,) vector, a batch of one whose results come back unbatched:
+    t* and F* as scalars, grad F* as a vector.
     """
-    pb, nb, single = as_rows(p, n)
-    pnorm = np.linalg.norm(pb, axis=-1)
-    live = ~(pnorm < 1e-300)
+    p = np.asarray(p, dtype=float)
+    n = np.asarray(n, dtype=float)
+    single = p.ndim == 1
+    if single:
+        p, n = p[None], n[None]
+    live = np.add.reduce(p * p, axis=-1) != 0.0  # NaN rows are live
     if live.size and live.all():
-        out = _live_line_minimum(dual, pb, nb, pnorm, order)
+        out = _live_line_minimum(dual, p, n, order)
     else:
         # gather only when some entry is zero: copies of the whole batch
         # would sit beside the Newton loop's compacted arrays
-        m = pb.shape[0]
-        out = np.zeros(m), np.zeros(m), np.full(pb.shape, np.nan) if order else None
+        m = p.shape[0]
+        out = np.zeros(m), np.zeros(m), np.full(p.shape, np.nan) if order else None
         if live.any():
             t, val, grad = out
-            t[live], val[live], g = _live_line_minimum(
-                dual, pb[live], nb[live], pnorm[live], order
-            )
+            t[live], val[live], g = _live_line_minimum(dual, p[live], n[live], order)
             if order:
                 grad[live] = g
-    return tuple(a[0] if single and a is not None else a for a in out)
+    if single:
+        t, val, grad = out
+        return t[0], val[0], None if grad is None else grad[0]
+    return out
 
 
-def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, pnorm: Array, order: int):
+def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     """:func:`_line_minimum` on rows with p != 0."""
     if dual.kind == "dual" and "primal" in dual.params:
         return _section_line_minimum(dual.params["primal"], p, n, order)
     if dual.kind == "ellipsoid":
-        B = dual.params["A"]
-        t = -np.einsum("...i,ij,...j->...", n, B, p) / np.einsum("...i,ij,...j->...", n, B, n)
+        Bn = n @ dual.params["A"]
+        t = -np.add.reduce(Bn * p, axis=-1) / np.add.reduce(Bn * n, axis=-1)
     else:
-        scale = pnorm / np.linalg.norm(n, axis=-1)
+        scale = np.linalg.norm(p, axis=-1) / np.linalg.norm(n, axis=-1)
         # initial Newton step from t = 0
         t = -np.divide(*_phi_derivatives(dual, p, n))
         step = np.maximum(np.abs(t), scale)

@@ -2,9 +2,11 @@
 
 Everything here avoids the library's own code paths: perimeter by 1-D
 quadrature, derivatives by central differences, support values by brute
-mesh maximization, polygon minimization by scipy's L-BFGS-B.  The one
-exception is the unculled Crofton loop, which is the library's line
-measure with the conormal line minimum run on every sampled line.
+mesh maximization, polygon minimization by scipy's L-BFGS-B.  Two
+exceptions reuse library steps in a different arrangement: the unculled
+Crofton loop, which is the library's line measure with the conormal line
+minimum run on every sampled line, and the per-row flow, the
+characteristic flow's RK4 stepper written on separate q and p rows.
 """
 
 from types import SimpleNamespace
@@ -15,7 +17,12 @@ from scipy.optimize import minimize
 
 from girthlab.bodies import dual_body, tangent_basis
 from girthlab.measures import _BATCH, VolumeReport, _area, _euclid_radius
-from girthlab.metric import minimize_along_conormal, radial_chart
+from girthlab.metric import (
+    _line_minimum,
+    induced_hamiltonian,
+    minimize_along_conormal,
+    radial_chart,
+)
 
 
 def ellipse_perimeter(a: float, b: float) -> float:
@@ -200,3 +207,41 @@ def lbfgsb(fun, x0, gtol, maxiter):
         nit=sum(r.nit for r in runs),
         nfev=sum(r.nfev for r in runs),
     )
+
+
+def per_row_flow(sphere, q, p, T, dt):
+    """The characteristic flow's RK4 stepper on separate q and p rows, with
+    the field's p' as -t ((Hess(0.5 F1^2) - n n') / F1) m and the
+    trajectory gathered in lists: the same steps, stage counts and
+    re-projection as ``characteristic_flow``, in another arrangement of the
+    arithmetic.  Returns (qs, ps)."""
+
+    def field(F1, n, H1, t, m):
+        return m, -t * (((H1 - np.outer(n, n)) / F1) @ m)
+
+    def stage(q, p):
+        F1, n, H1 = sphere.body1.jet(q, 2)
+        return field(F1, n, H1, *_line_minimum(sphere.dual2, p, n, 1)[::2])
+
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
+    assert abs(float(induced_hamiltonian(sphere, q, p)) - 1.0) <= 1e-8
+    n_steps = int(np.ceil(T / dt))
+    h = T / n_steps
+    qs, ps = [q], [p]
+    k1q, k1p = stage(q, p)
+    for _ in range(n_steps):
+        k2q, k2p = stage(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
+        k3q, k3p = stage(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
+        k4q, k4p = stage(q + h * k3q, p + h * k3p)
+        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        F1, n, H1 = sphere.body1.jet(q, 2)
+        q = q / F1
+        p = p - float(p @ q) * n
+        t, G, m = _line_minimum(sphere.dual2, p, n, 1)
+        p = p / G
+        k1q, k1p = field(1.0, n, H1, t / G, m)
+        qs.append(q)
+        ps.append(p)
+    return np.array(qs), np.array(ps)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +32,29 @@ RNG = np.random.default_rng(42)
 def unit_vectors(m, dim=3, seed=0):
     v = np.random.default_rng(seed).standard_normal((m, dim))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# import
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(bodies.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, girthlab; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.split() == ["False"]
+
+
+def test_minimize_forwards_to_scipy():
+    res = bodies.minimize(lambda z: float(z @ z), np.ones(2), method="BFGS")
+    np.testing.assert_allclose(res.x, 0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +175,14 @@ def test_jet_orders_share_bits_with_the_evaluators(any_body):
 
 
 def test_jet_batch_equals_rows(any_body):
-    # rows are batches of one: a 1-D point takes numpy's scalar power, which
-    # may differ from the array power in the last bit
+    # a row has the bits of its batch, as a batch of one and as one 1-D
+    # point (the power mean evaluates a point as a batch of one, where
+    # numpy's power on a 0-d sum could differ in the last bit)
     x = np.random.default_rng(9).standard_normal((9, 3))
     batch = any_body.jet(x, 2)
     for i in range(len(x)):
         assert _bits(*any_body.jet(x[i : i + 1], 2)) == _bits(*(a[i : i + 1] for a in batch))
+        assert _bits(*any_body.jet(x[i], 2)) == _bits(*(a[i] for a in batch))
 
 
 def test_tangent_basis_orthonormal_complement():

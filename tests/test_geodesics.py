@@ -31,7 +31,7 @@ from girthlab.geodesics import (
 )
 from girthlab.metric import CoSpherePoint, cosphere_lift, project_to_surface
 
-from oracles import ellipse_perimeter, lbfgsb
+from oracles import ellipse_perimeter, lbfgsb, per_row_flow
 
 FAST = GirthOptions(N=16, starts=3, seed=0)
 
@@ -241,6 +241,25 @@ def test_flow_on_ellipsoid_ambient_takes_closed_form_line_minima(
     assert newton
     np.testing.assert_allclose(traj.qs, ref.qs, rtol=0, atol=1e-13)
     np.testing.assert_allclose(traj.ps, ref.ps, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "base, ambient, steps",
+    [
+        ("pm_body6", "tilted_ellipsoid", 1024),  # ellipsoid dual: closed-form line minima
+        ("aniso_ellipsoid", "pm_body", 256),  # numeric dual: section solves
+    ],
+)
+def test_flow_matches_the_per_row_stepper(request, base, ambient, steps):
+    # the flat-state stepper against the same RK4 steps on separate q and p
+    # rows, from a random co-sphere start over unit time
+    s = EmbeddedSphere(request.getfixturevalue(base), request.getfixturevalue(ambient))
+    q, p = sample_cosphere(s, 1, np.random.default_rng(3))
+    traj = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 1.0, 1.0 / steps)
+    qs, ps = per_row_flow(s, q[0], p[0], 1.0, 1.0 / steps)
+    assert traj.qs.shape == qs.shape == (steps + 1, 3)
+    np.testing.assert_allclose(traj.qs, qs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(traj.ps, ps, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
