@@ -2,7 +2,7 @@
 """Fingerprints of every number girthlab reports, one line per seed and run.
 
 Usage: python scripts/fingerprints.py [--seeds 0 1 2 3 4] [--experiments girth ...] [--values]
-       python scripts/fingerprints.py --compare OLD.jsonl NEW.jsonl [--bound REL]
+       python scripts/fingerprints.py --compare OLD.jsonl NEW.jsonl
 
 Each line is ``seed name sha256``: the sha256 of ``Outcome.fingerprint`` of
 one benchmark workload (all of ``perfbench/workloads.py`` run), or of
@@ -23,9 +23,7 @@ JSON.  ``--compare`` reads two such outputs, say of two source trees, and
 prints each run's largest relative change |a - b| / max(|a|, |b|) with the
 number it came from, then the largest over all runs, and the largest over
 the numbers of magnitude max(|a|, |b|) above 1e-12, whose relative change
-is not a rounding residual's.  With ``--bound REL`` it also exits with
-status 1 when that last change exceeds REL (or is NaN), so a stated bound
-on how far a change moves the reported numbers is one command to check.
+is not a rounding residual's.
 """
 
 import argparse
@@ -60,15 +58,9 @@ def main(argv=None):
     ap.add_argument(
         "--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two --values outputs"
     )
-    ap.add_argument(
-        "--bound", type=float, metavar="REL",
-        help="with --compare: exit 1 when a number above 1e-12 moved by more than REL",
-    )
     args = ap.parse_args(argv)
-    if args.bound is not None and not args.compare:
-        ap.error("--bound needs --compare")
     if args.compare:
-        return compare(*args.compare, bound=args.bound)
+        return compare(*args.compare)
     emit = _emit_values if args.values else _emit
     configs = sorted((ROOT / "configs").glob("*.json"))
     built = {name: w.setup(girthlab) for name, w in WORKLOADS.items()}
@@ -120,10 +112,9 @@ def _rel_change(a, b):
     return abs(a - b) / max(abs(a), abs(b))  # nan when one side is nan
 
 
-def compare(old_path, new_path, bound=None):
+def compare(old_path, new_path):
     """Print each run's largest relative change between two --values files;
-    exit status 1 when the runs or their number paths differ, or when a
-    ``bound`` is given and a number above 1e-12 moved by more than it."""
+    exit status 1 when the runs or their number paths differ."""
     def load(path):
         with open(path) as fh:
             return {(r["seed"], r["name"]): r["values"] for r in map(json.loads, fh)}
@@ -147,10 +138,7 @@ def compare(old_path, new_path, bound=None):
         print(key[0], key[1], "runs or number paths differ")
     print("largest relative change", worst[1] if worst[1] else "0")
     print("largest relative change above 1e-12", worst_above[1] if worst_above[1] else "0")
-    exceeded = bound is not None and not worst_above[0] <= bound  # NaN exceeds
-    if bound is not None:
-        print(f"bound {bound:.3g}:", "exceeded" if exceeded else "held")
-    return 1 if mismatched or exceeded else 0
+    return 1 if mismatched else 0
 
 
 def _order(c):

@@ -80,9 +80,13 @@ def radial_chart(body: GaugeBody, x: Array, *dx: Array) -> tuple:
 
 def as_rows(a: Array, b: Array):
     """Two float arrays as row batches, and whether ``a`` was one vector:
-    a single vector is treated as a batch of one."""
+    a single vector (with its partner) is treated as a batch of one."""
     a = np.asarray(a, dtype=float)
-    return np.atleast_2d(a), np.atleast_2d(np.asarray(b, dtype=float)), a.ndim == 1
+    b = np.asarray(b, dtype=float)
+    single = a.ndim == 1
+    if single:
+        a, b = a[None], b[None]
+    return a, b, single
 
 
 def conormal(sphere: EmbeddedSphere, q: Array) -> Array:
@@ -214,11 +218,7 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     or one (dim,) vector, a batch of one whose results come back unbatched:
     t* and F* as scalars, grad F* as a vector.
     """
-    p = np.asarray(p, dtype=float)
-    n = np.asarray(n, dtype=float)
-    single = p.ndim == 1
-    if single:
-        p, n = p[None], n[None]
+    p, n, single = as_rows(p, n)
     live = np.add.reduce(p * p, axis=-1) != 0.0  # NaN rows are live
     if live.size and live.all():
         out = _live_line_minimum(dual, p, n, order)

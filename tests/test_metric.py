@@ -140,18 +140,20 @@ def _conormal_lines(body1, m, seed):
 def test_line_minimization_batch_equals_rows(which, pm_body, aniso_ellipsoid, tilted_ellipsoid):
     # evaluators and the ellipsoid's closed form are row-independent, so a
     # batched call gives every row the bits of its own scalar call,
-    # whichever entries share its batch
+    # whichever entries share its batch, also in a batch the size of the
+    # maps batch (the ellipsoid's products run on BLAS)
     duals = {
         "numeric_dual": dual_body(pm_body),
         "power_mean": pm_body,
         "ellipsoid": dual_body(tilted_ellipsoid),
     }
     dual = duals[which]
-    p, n = _conormal_lines(aniso_ellipsoid, 12, 11)
-    t, val = minimize_along_conormal(dual, p, n)
-    for i in range(len(p)):
-        ti, vi = minimize_along_conormal(dual, p[i], n[i])
-        assert ti.tobytes() == t[i].tobytes() and vi.tobytes() == val[i].tobytes()
+    for m, seed in ((12, 11), (32768, 12)):
+        p, n = _conormal_lines(aniso_ellipsoid, m, seed)
+        t, val = minimize_along_conormal(dual, p, n)
+        for i in sorted({*range(min(m, 12)), m // 3, m // 2, m - 1}):
+            ti, vi = minimize_along_conormal(dual, p[i], n[i])
+            assert ti.tobytes() == t[i].tobytes() and vi.tobytes() == val[i].tobytes()
 
 
 def test_line_minimization_skips_converged_entries(pm_body):
