@@ -1,15 +1,15 @@
 """Girth and geodesics on an embedded unit sphere.
 
-Girth, the length spectrum and the diameter probe minimize one discrete
-polygon energy with one continuation driver; the polygon's closure
-(centrally symmetric with half of the vertices stored, closed, or with
-fixed endpoints) is a parameter of both.  Minimization happens on free
-ambient vectors that are radially rescaled onto the surface, so the
-constraint is exact.  Discrete curve *energy* (segment count times the sum
-of squared chord gauges) is the optimization objective: its minimizers are
-constant-speed discrete geodesics, whereas raw chord length admits
-spurious collapsed configurations.  Reported lengths are always plain
-chord-gauge sums.
+Girth, the length spectrum (both in the class of centrally symmetric
+closed curves) and the diameter probe minimize one discrete polygon energy
+with one continuation driver; the polygon's closure (centrally symmetric
+with half of the vertices stored, or with fixed endpoints) is a parameter
+of both.  Minimization happens on free ambient vectors that are radially
+rescaled onto the surface, so the constraint is exact.  Discrete curve
+*energy* (segment count times the sum of squared chord gauges) is the
+optimization objective: its minimizers are constant-speed discrete
+geodesics, whereas raw chord length admits spurious collapsed
+configurations.  Reported lengths are always plain chord-gauge sums.
 """
 
 from __future__ import annotations
@@ -78,17 +78,15 @@ class GirthResult:
 #
 # A polygon is its free vertices plus a closure: "symmetric" wraps the last
 # vertex to the antipode of the first and counts the polygon as two halves,
-# "closed" wraps it to the first vertex, and a pair (a, b) of surface points,
-# one row per polygon, fixes both endpoints.  Polygons come in stacks
-# (B, n, dim) of one closure and vertex count.
+# and a pair (a, b) of surface points, one row per polygon, fixes both
+# endpoints.  Polygons come in stacks (B, n, dim) of one closure and vertex
+# count.
 
 
 def _chain(x: Array, closure) -> Array:
     """The vertex chains whose successive differences are the chords."""
     if closure == "symmetric":
         return np.concatenate([x, -x[:, :1]], axis=1)
-    if closure == "closed":
-        return np.concatenate([x, x[:, :1]], axis=1)
     a, b = closure
     return np.concatenate([a[:, None], x, b[:, None]], axis=1)
 
@@ -117,9 +115,6 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
     if closure == "symmetric":
         g = gV[:, :n]
         g[:, 0] -= gV[:, n]
-    elif closure == "closed":
-        g = gV[:, :n]
-        g[:, 0] += gV[:, n]
     else:
         g = gV[:, 1:-1]
     # chain rule through the radial projection
@@ -261,25 +256,31 @@ def minimize(fun, x0: Array, gtol: float, maxiter: int) -> BatchMinimum:
 # starts and continuation
 
 
-def _great_circle(u: Array, v: Array, n: int, span: float) -> Array:
-    theta = span * np.arange(n) / n
+def _great_circle(u: Array, v: Array, n: int) -> Array:
+    """n points of the half great circle from u towards v."""
+    theta = np.pi * np.arange(n) / n
     return np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
 
 
-def _random_circle(rng, dim: int, n: int, span: float, noise: float) -> Array:
+def _random_circle(rng, dim: int, n: int) -> Array:
+    """A random half great circle of n points, perturbed by noise 0.1."""
     basis, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
-    pts = _great_circle(basis[:, 0], basis[:, 1], n, span)
-    return pts + noise * rng.standard_normal(pts.shape)
+    pts = _great_circle(basis[:, 0], basis[:, 1], n)
+    return pts + 0.1 * rng.standard_normal(pts.shape)
 
 
 def _symmetric_starts(rng, dim: int, N: int, count: int) -> Array:
     """The first ``count`` of: half great circles in the coordinate planes,
-    then perturbed random ones."""
+    then perturbed random ones, each of N half points."""
+    if count < 1:
+        raise PreconditionError(f"starts must be >= 1, got {count}")
+    if N < 3:
+        raise PreconditionError(f"N must be >= 3, got {N}")
     eye = np.eye(dim)
     planes = [(0, 1), (0, 2), (1, 2)] if dim >= 3 else [(0, 1)]
-    starts = [_great_circle(eye[i], eye[j], N, np.pi) for i, j in planes]
+    starts = [_great_circle(eye[i], eye[j], N) for i, j in planes]
     while len(starts) < count:
-        starts.append(_random_circle(rng, dim, N, np.pi, 0.1))
+        starts.append(_random_circle(rng, dim, N))
     return np.stack(starts[:count])
 
 
@@ -377,28 +378,21 @@ def length_spectrum_probe(
     N: int = 24,
     levels: int = 3,
 ):
-    """Sorted distinct closed-geodesic lengths found by multi-start
-    refinement.  A probe: it reports what it found, never completeness.
+    """Sorted distinct lengths of centrally symmetric closed geodesics found
+    by multi-start refinement.  A probe: it reports what it found, never
+    completeness.
 
-    Symmetric starts (coordinate great circles plus random ones) are
-    refined in the symmetric class; a couple of non-symmetric closed loops
-    are refined in the full loop space, where contractible starts shrink to
-    points and get filtered out.
+    ``k_starts`` symmetric starts of N half points (coordinate great circles,
+    then random ones) are refined in the symmetric class, the class of the
+    girth; a refined polygon counts when its final gradient norm is at most
+    1e-5, and lengths within 1e-4 of a smaller one are dropped.  Free closed
+    loops are not searched: on a sphere every one is contractible and
+    shrinks to a point under energy descent.
     """
-    if k_starts < 1:
-        raise PreconditionError("k_starts must be >= 1")
     rng = np.random.default_rng(seed)
-    sym = _symmetric_starts(rng, sphere.dim, N, k_starts)
-    loops = [_random_circle(rng, sphere.dim, 2 * N, 2.0 * np.pi, 0.05) for _ in range(2)]
-    found = []
-    for closure, x0 in (("symmetric", sym), ("closed", np.stack(loops))):
-        value, _, _, _, resid = _continuation(
-            sphere, project_to_surface(sphere.body1, x0), closure, 1e-11, 4000, levels
-        )
-        # a closed loop that shrinks to a point is contractible, not a geodesic
-        keep = (resid <= 1e-5) & ((closure == "symmetric") | (value > 1e-2))
-        found += value[keep].tolist()
-    found.sort()
+    x0 = project_to_surface(sphere.body1, _symmetric_starts(rng, sphere.dim, N, k_starts))
+    value, _, _, _, resid = _continuation(sphere, x0, "symmetric", 1e-11, 4000, levels)
+    found = sorted(value[resid <= 1e-5].tolist())
     clustered = []
     for v in found:
         if not clustered or v - clustered[-1] > 1e-4:
@@ -431,6 +425,8 @@ def _slerp_arc(a: Array, b: Array, K: int, rng) -> Array:
 def _path_start(sphere: EmbeddedSphere, a: Array, b: Array, K: int, rng):
     """Surface endpoints a, b and the K - 1 interior vertices of the
     projected slerp arc between them."""
+    if K < 2:
+        raise PreconditionError(f"K must be >= 2, got {K}")
     a = project_to_surface(sphere.body1, np.asarray(a, float))
     b = project_to_surface(sphere.body1, np.asarray(b, float))
     pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
@@ -472,11 +468,13 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
 # characteristic flow
 
 
-def _field(F1, n, H1, t, m):
-    """The flat state derivative (q', p') from the base's jet (F1, n, H1)
-    at q and the line minimum (t, m = grad F2*): q' = m and
-    p' = (t / F1) (n (n . m) - H1 m)."""
-    return np.concatenate((m, (t / F1) * (n * (n @ m) - H1 @ m)))
+def _field(F1, H1, t, m):
+    """The flat state derivative (q', p') from the base's F1 and
+    H1 = Hess(0.5 F1^2) at q and the line minimum (t, m = grad F2*):
+    q' = m and p' = -(t / F1) H1 m.  The full field's n (n . m) term,
+    n = grad F1, is left out: m is orthogonal to n at the line minimum, the
+    first-order condition of min_t F2*(p + t n)."""
+    return np.concatenate((m, -(t / F1) * (H1 @ m)))
 
 
 def characteristic_flow(
@@ -511,7 +509,7 @@ def characteristic_flow(
     def field(y):
         F1, n, H1 = jet(y[:dim], 2)
         t, _, m = _line_minimum(dual, y[dim:], n, 1)
-        return _field(F1, n, H1, t, m)
+        return _field(F1, H1, t, m)
 
     y = np.concatenate((q, p))
     k1 = field(y)
@@ -530,7 +528,7 @@ def characteristic_flow(
         np.divide(p, G, out=ps[i])
         y = np.concatenate((q, ps[i]))
         # F2* is 1-homogeneous: the line minimum through p / G is t / G
-        k1 = _field(1.0, n, H1, t / G, m)
+        k1 = _field(1.0, H1, t / G, m)
     residual = float(np.linalg.norm(qs[-1] - qs[0]) + np.linalg.norm(ps[-1] - ps[0]))
     return CharacteristicTrajectory(
         qs=qs,

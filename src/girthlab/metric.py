@@ -147,9 +147,7 @@ def _expand_bracket(f, p: Array, n: Array, end: Array, step: Array, sign: float)
         step[idx] *= 2.0
 
 
-def _safeguarded_newton(
-    f, p: Array, n: Array, t: Array, lo: Array, hi: Array, tol, scale, widen=None
-):
+def _safeguarded_newton(f, p: Array, n: Array, t: Array, lo: Array, hi: Array, tol, scale):
     """Root in t of ``f(p + t n, n) -> (value, t-derivative)`` for each row,
     from t in a bracket [lo, hi] with value < 0 at lo and >= 0 at hi.  Each
     pass shrinks the bracket to the side of t the value's sign allows and
@@ -157,9 +155,7 @@ def _safeguarded_newton(
     onto an end, such as an exact root, is kept).  A row converges when its
     step is at most ``tol * (1 + |t|) * max(scale, 1)``; only unconverged
     rows are evaluated, and the solver returns once every row has converged.
-    ``t`` is updated in place.  With ``widen``, [lo, hi] is a first guess:
-    unless every first step converges inside it, ``widen(lo, hi)`` makes it
-    a bracket in place and the pass is redone."""
+    ``t`` is updated in place."""
     if t.size == 0:
         return
     idx = np.arange(t.shape[0])
@@ -168,18 +164,12 @@ def _safeguarded_newton(
         v, dv = f(p + ta[:, None] * n, n)
         neg, step = v < 0.0, -v / dv
         del v, dv  # not held while the next evaluation of f runs
-        while True:
-            lo1 = np.where(neg, np.maximum(lo, ta), lo)
-            hi1 = np.where(~neg, np.minimum(hi, ta), hi)
-            tn = ta + step
-            out = (tn < lo1) | (tn > hi1)
-            tn = np.where(out, 0.5 * (lo1 + hi1), tn)
-            conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
-            if widen is None or np.all(conv & ~out):
-                break
-            del lo1, hi1, tn, out, conv
-            widen(lo, hi)
-            widen = None
+        lo1 = np.where(neg, np.maximum(lo, ta), lo)
+        hi1 = np.where(~neg, np.minimum(hi, ta), hi)
+        tn = ta + step
+        out = (tn < lo1) | (tn > hi1)
+        tn = np.where(out, 0.5 * (lo1 + hi1), tn)
+        conv = np.abs(tn - ta) <= tol * (1.0 + np.abs(tn)) * np.maximum(scale, 1.0)
         del neg, step, out
         t[idx] = tn
         if conv.all():
@@ -247,17 +237,16 @@ def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
         t = -np.add.reduce(Bn * p, axis=-1) / np.add.reduce(Bn * n, axis=-1)
     else:
         scale = np.linalg.norm(p, axis=-1) / np.linalg.norm(n, axis=-1)
-        # initial Newton step from t = 0
+        # initial Newton step from t = 0, then a sign-change bracket of the
+        # slope around it by expansion
         t = -np.divide(*_phi_derivatives(dual, p, n))
         step = np.maximum(np.abs(t), scale)
-
-        def widen(lo, hi):  # sign-change bracket of the slope by expansion
-            slope = partial(_slope, dual)
-            _expand_bracket(slope, p, n, lo, step, -1.0)
-            _expand_bracket(slope, p, n, hi, np.maximum(np.abs(t), scale), 1.0)
-
+        lo, hi = t - step, t + step
+        slope = partial(_slope, dual)
+        _expand_bracket(slope, p, n, lo, step.copy(), -1.0)
+        _expand_bracket(slope, p, n, hi, step, 1.0)
         derivs = partial(_phi_derivatives, dual)
-        _safeguarded_newton(derivs, p, n, t, t - step, t + step, 1e-11, scale, widen)
+        _safeguarded_newton(derivs, p, n, t, lo, hi, 1e-11, scale)
     F, g, _ = dual.jet(p + t[:, None] * n, order)
     return t, F, g
 
