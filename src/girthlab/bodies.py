@@ -232,9 +232,12 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] =
 
     The map is the gradient of a strongly convex 2-homogeneous function, so
     a damped Newton iteration with residual backtracking converges from the
-    quadratic-model start ``H(xi)^{-1} xi``.  A row whose residual is still
-    above 1e-9 after ``_DUAL_MAXIT`` passes raises
-    :class:`NumericalFailureError` with the largest support value reached.
+    quadratic-model start ``H(xi)^{-1} xi``.  Each trial point takes one
+    order-2 jet of the primal, which gives its residual for the backtracking
+    test and the Newton step from it; an accepted trial carries that step
+    into the next pass.  A row whose residual is still above 1e-9 after
+    ``_DUAL_MAXIT`` passes raises :class:`NumericalFailureError` with the
+    largest support value reached.
 
     With an orthonormal ``basis`` T of shape (m, n, k), one per row of a
     (m, n) batch, the same iteration runs on the section x = T z from the
@@ -252,47 +255,37 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] =
     def project(v, T):
         return v if T is None else np.einsum("...ia,...i->...a", T, v)
 
-    def residual(target, z, T):
-        return project(target - half_sq_jet(body, lift(z, T), hessian=False)[1], T)
-
-    def newton_step(x, r, T):
-        H = body.hessian_half_sq(x)
+    def solve(H, r, T):
         if T is not None:
             H = np.swapaxes(T, -1, -2) @ H @ T
         return np.linalg.solve(H, r[..., None])[..., 0]
 
-    z = newton_step(xin, project(xin, basis), basis)
-    r = residual(xin, z, basis)
-    res = np.linalg.norm(r, axis=-1)
+    def newton(target, z, T):
+        """Residual norm and Newton step at the points T z, from one jet."""
+        F, g, H = body.jet(lift(z, T), 2)
+        r = project(target - F[..., None] * g, T)
+        return np.linalg.norm(r, axis=-1), solve(H, r, T)
+
+    z = solve(body.jet(xin, 2)[2], project(xin, basis), basis)
+    res, d = newton(xin, z, basis)
     active = res > _DUAL_TOL
     for _ in range(_DUAL_MAXIT):
         if not np.any(active):
             break
-        Ta = None if basis is None else basis[active]
-        target = xin[active]
-        za = z[active]
-        ra = r[active]
-        d = newton_step(lift(za, Ta), ra, Ta)
-        lam = np.ones(za.shape[0])
-        best = za.copy()
-        bestr = ra.copy()
-        bestres = np.linalg.norm(ra, axis=-1)
-        pending = np.ones(za.shape[0], dtype=bool)
+        idx = np.flatnonzero(active)
+        Ta = None if basis is None else basis[idx]
+        target, za, da, res0 = xin[idx], z[idx], d[idx], res[idx]
+        lam = np.ones(idx.size)
+        pending = np.ones(idx.size, dtype=bool)
         for _bt in range(30):
-            trial = za + lam[:, None] * d
-            tr = residual(target, trial, Ta)
-            tres = np.linalg.norm(tr, axis=-1)
-            ok = pending & (tres < (1.0 - 1e-4 * lam) * bestres)
-            best[ok] = trial[ok]
-            bestr[ok] = tr[ok]
-            bestres[ok] = tres[ok]
+            trial = za + lam[:, None] * da
+            tres, td = newton(target, trial, Ta)
+            ok = pending & (tres < (1.0 - 1e-4 * lam) * res0)
+            z[idx[ok]], res[idx[ok]], d[idx[ok]] = trial[ok], tres[ok], td[ok]
             pending &= ~ok
             if not np.any(pending):
                 break
             lam[pending] *= 0.5
-        z[active] = best
-        r[active] = bestr
-        res[active] = bestres
         active = ~(res <= _DUAL_TOL)
     x = lift(z, basis)
     if not np.all(res <= 1e-9):  # NaN rows fail too
@@ -314,8 +307,7 @@ def dual_gauge(body: GaugeBody, xi: Array) -> Array:
     xi = np.asarray(xi, dtype=float)
     if np.any(np.linalg.norm(np.atleast_2d(xi), axis=-1) == 0.0):
         raise PreconditionError("dual gauge undefined at the zero covector")
-    x = _solve_gradient_inverse(body, xi)
-    return body.gauge(x)
+    return numeric_dual(body).gauge(xi)
 
 
 def legendre(body: GaugeBody, q: Array) -> Array:
@@ -328,12 +320,10 @@ def legendre(body: GaugeBody, q: Array) -> Array:
 
 def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
     """Point q on the unit surface maximizing <xi, .>, for xi with F*(xi) = 1."""
-    xi = np.asarray(xi, dtype=float)
-    x = _solve_gradient_inverse(body, xi)
-    Fs = body.gauge(x)
+    Fs, q, _ = numeric_dual(body).jet(np.asarray(xi, dtype=float), 1)
     if np.any(np.abs(Fs - 1.0) > 1e-8):
         raise PreconditionError("legendre_inverse requires F*(xi) = 1")
-    return x / Fs[..., None]
+    return q
 
 
 def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:

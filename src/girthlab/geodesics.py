@@ -445,9 +445,12 @@ def shortest_path_length(
 ) -> float:
     """Chord-gauge length of a locally shortest discrete path from a to b
     (endpoints fixed, interior vertices free).  A lower bound for the true
-    induced distance."""
+    induced distance.  Coincident endpoints give 0.0 without a solve."""
     rng = rng or np.random.default_rng(0)
-    return float(_path_lengths(sphere, [_path_start(sphere, a, b, K, rng)])[0])
+    start = _path_start(sphere, a, b, K, rng)
+    if np.array_equal(start[0], start[1]):
+        return 0.0
+    return float(_path_lengths(sphere, [start])[0])
 
 
 def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24) -> float:

@@ -387,10 +387,8 @@ def _spectrum(config, sphere):
 def _volume(config, sphere):
     v1, v2 = _both_sides(sphere, lambda s, side: ht_volume(s, seed=config.seed))
     rel = abs(v1.value - v2.value) / v1.value
-    combined = (v1.error_estimate + v2.error_estimate) / v1.value
-    tol = max(config.tolerances["volume_rel"], 3.0 * combined)
     results = {"volume_primal": asdict(v1), "volume_dual": asdict(v2), "relative_gap": rel}
-    return results, [_check("volume_equality", rel, tol)]
+    return results, [_check("volume_equality", rel, config.tolerances["volume_rel"])]
 
 
 def _crofton(config, sphere):

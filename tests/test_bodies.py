@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -250,6 +251,62 @@ def test_dual_hessians_are_inverse(pm_body):
         # gradient-inverse point of x
         Hp = pm_body.hessian_half_sq(x_primal)
         np.testing.assert_allclose(Hd @ Hp, np.eye(3), atol=1e-7)
+
+
+# power means anisotropic enough that many rows take halved Newton steps
+DAMPED = {
+    "p8": ([np.diag([1.0, 100.0, 0.01]), np.eye(3)], 8),
+    "p10": ([np.diag([1.0, 400.0, 0.0025]), np.diag([50.0, 1.0, 1.0])], 10),
+}
+
+
+@pytest.mark.parametrize("section", [False, True], ids=["full", "section"])
+@pytest.mark.parametrize("name", sorted(DAMPED))
+def test_damped_gradient_inverse_solves_the_gradient_equation(name, section):
+    mats, p = DAMPED[name]
+    body = make_power_mean(mats, p)
+    rng = np.random.default_rng(p)
+    xi = rng.standard_normal((2000, 3))
+    T = tangent_basis(rng.standard_normal((2000, 3))) if section else None
+    x = bodies._solve_gradient_inverse(body, xi, T)
+    F, g, _ = body.jet(x, 1)
+    r = F[:, None] * g - xi
+    if section:
+        r = np.einsum("kia,ki->ka", T, r)
+    assert np.all(np.linalg.norm(r, axis=-1) <= 1e-12 * np.linalg.norm(xi, axis=-1))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "p8"])
+def test_gradient_inverse_takes_one_order_2_jet_per_trial(name):
+    # one order-2 jet at the start, then one per trial point set: it gives
+    # the trials' residuals and the Newton steps from them, so no jet only
+    # revisits points already evaluated and no order-1 jet is taken.  The
+    # views bind the jet in __post_init__, so replace() rebuilds them
+    # around the counting jet
+    if name == "ellipsoid":
+        base = make_ellipsoid(np.diag([1.0, 100.0, 0.01]))
+    else:
+        base = make_power_mean(*DAMPED[name])
+    calls = []
+
+    def counting(x, order):
+        calls.append((order, np.array(x)))
+        return base.jet(x, order)
+
+    body = dataclasses.replace(base, jet=counting)
+    rng = np.random.default_rng(3)
+    xi = rng.standard_normal((200, 3))
+    for T in (None, tangent_basis(rng.standard_normal((200, 3)))):
+        calls.clear()
+        bodies._solve_gradient_inverse(body, xi, T)
+        seen = set()
+        for order, x in calls:
+            rows = {row.tobytes() for row in x}
+            assert order == 2 and not rows <= seen
+            seen |= rows
+        if name == "ellipsoid":
+            # the quadratic-model start is exact: the start and its check
+            assert len(calls) == 2
 
 
 def test_unconverged_dual_inverse_raises(monkeypatch, pm_body):

@@ -306,6 +306,13 @@ def test_shortest_path_between_nearby_points(round_sphere):
     assert L == pytest.approx(0.5, rel=1e-4)
 
 
+@pytest.mark.filterwarnings("error")
+def test_shortest_path_between_coincident_points(round_sphere):
+    # a path from a point to itself has only zero chords: no solve, no warning
+    a = np.array([1.0, 0.0, 0.0])
+    assert shortest_path_length(round_sphere, a, a) == 0.0
+
+
 def test_diameter_probe_round_sphere(round_sphere):
     d = diameter_probe(round_sphere, 6, seed=0, K=16)
     assert d <= np.pi * (1.0 + 1e-6)

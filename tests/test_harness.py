@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from girthlab import ConfigError, EmbeddedSphere, ExperimentConfig, harness
+from girthlab import ConfigError, EmbeddedSphere, ExperimentConfig, NumericalFailureError, harness
+from girthlab import cli
 from girthlab.cli import main
 from girthlab.harness import (
     body_from_spec,
@@ -12,6 +13,7 @@ from girthlab.harness import (
     run,
     subseed,
 )
+from girthlab.measures import VolumeReport
 
 AN_E = {"type": "ellipsoid", "matrix": np.diag([1.0, 1.0 / 0.64, 1.0 / 0.36]).tolist()}
 EUCLID = {"type": "ellipsoid", "matrix": np.eye(3).tolist()}
@@ -219,6 +221,21 @@ def test_report_bytes_are_deterministic():
     assert "wall_time_s" in r1.to_dict()
 
 
+def test_volume_check_keeps_its_tolerance(monkeypatch):
+    # a 2 % gap fails the 1e-2 check, however large the quadrature's own
+    # error estimates are
+    values = iter([1.0, 1.02])
+    monkeypatch.setattr(
+        harness,
+        "ht_volume",
+        lambda s, seed: VolumeReport(next(values), "stub", 1, seed, error_estimate=1e-2),
+    )
+    rep = run(ExperimentConfig.from_dict(make_config("volume")))
+    (check,) = [c for c in rep.checks if c["name"] == "volume_equality"]
+    assert check["value"] == pytest.approx(2e-2)
+    assert check["tolerance"] == 1e-2 and not check["passed"]
+
+
 def test_run_maps_verify():
     cfg = ExperimentConfig.from_dict(
         make_config("maps-verify", norm1=AN_E, norm2=EUCLID, solver={"samples": 25})
@@ -337,6 +354,34 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, capsys, fmt):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cli_json_to_stdout(tmp_path, capsys):
+    path = write_config(tmp_path, make_config("girth", solver={"N": 8, "starts": 3}))
+    assert main(["girth", "--config", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["experiment"] == "girth" and rep["passed"] is True
+
+
+def test_cli_csv_out_drops_the_csv_suffix(tmp_path, capsys):
+    path = write_config(tmp_path, make_config("girth", solver={"N": 8, "starts": 3}))
+    out = tmp_path / "plot.csv"
+    assert main(["girth", "--config", path, "--format", "csv", "--out", str(out)]) == 0
+    written = tmp_path / "plot_continuation.csv"
+    assert written.exists() and not out.exists()
+    assert capsys.readouterr().out == f"{written}\n"
+
+
+def test_cli_solver_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def fail(config):
+        raise NumericalFailureError("dual gauge solver did not converge", best_bound=1.0)
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = write_config(tmp_path, make_config("girth", solver={"N": 8, "starts": 3}))
+    assert main(["girth", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: dual gauge solver did not converge\n"
+    assert captured.out == ""
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     code = main(["girth", "--config", str(tmp_path / "nope.json")])
     assert code == 2
@@ -375,3 +420,15 @@ def test_emit_plot_data_spectrum(tmp_path):
     assert paths
     body = open(paths[0]).read()
     assert body.startswith("primal,dual\n")
+
+
+def test_emit_plot_data_crofton(tmp_path):
+    cfg = ExperimentConfig.from_dict(make_config("crofton", solver={"samples": 2000}))
+    rep = run(cfg)
+    (path,) = emit_plot_data(rep, str(tmp_path / "c"))
+    assert path == str(tmp_path / "c_crofton.csv")
+    header, row, end = open(path).read().split("\n")
+    assert header == "samples,estimate,stderr" and end == ""
+    line = rep.results["line_measure"]
+    assert row.split(",")[0] == "2000"
+    assert [float(v) for v in row.split(",")[1:]] == [line["value"], line["error_estimate"]]
