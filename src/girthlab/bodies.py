@@ -176,7 +176,7 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
     )
 
 
-def scale_body(body: GaugeBody, lam: float, label: Optional[str] = None) -> GaugeBody:
+def scale_body(body: GaugeBody, lam: float) -> GaugeBody:
     """Body whose gauge is ``lam * F``; its unit ball is the original one
     shrunk by ``lam``."""
     if lam <= 0:
@@ -190,7 +190,7 @@ def scale_body(body: GaugeBody, lam: float, label: Optional[str] = None) -> Gaug
         dim=body.dim,
         jet=jet,
         symmetric=body.symmetric,
-        label=label or f"{lam}*{body.label}",
+        label=f"{lam}*{body.label}",
         kind="scaled",
         params={"base": body, "lam": lam},
     )
@@ -304,9 +304,6 @@ def dual_gauge(body: GaugeBody, xi: Array) -> Array:
     Computed through the gradient inverse of 0.5 F^2: at the solution x of
     grad(0.5 F^2)(x) = xi one has F(x) = F*(xi).
     """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.linalg.norm(np.atleast_2d(xi), axis=-1) == 0.0):
-        raise PreconditionError("dual gauge undefined at the zero covector")
     return numeric_dual(body).gauge(xi)
 
 
@@ -326,7 +323,7 @@ def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
     return q
 
 
-def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
+def numeric_dual(body: GaugeBody) -> GaugeBody:
     """Dual body with F*, grad F* and Hess(0.5 F*^2) obtained from the primal
     by gradient inversion (no closed form assumed).
 
@@ -349,7 +346,7 @@ def numeric_dual(body: GaugeBody, label: Optional[str] = None) -> GaugeBody:
         dim=body.dim,
         jet=jet,
         symmetric=body.symmetric,
-        label=label or f"dual({body.label})",
+        label=f"dual({body.label})",
         kind="dual",
         params={"primal": body},
     )

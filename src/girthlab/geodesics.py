@@ -269,19 +269,24 @@ def _random_circle(rng, dim: int, n: int) -> Array:
     return pts + 0.1 * rng.standard_normal(pts.shape)
 
 
-def _symmetric_starts(rng, dim: int, N: int, count: int) -> Array:
+def _symmetric_starts(sphere: EmbeddedSphere, N: int, count: int, seed) -> Array:
     """The first ``count`` of: half great circles in the coordinate planes,
-    then perturbed random ones, each of N half points."""
+    then perturbed random ones seeded by ``seed``, each of N half points,
+    projected to the base surface; symmetric bodies and dim >= 3 only."""
+    if not (sphere.body1.symmetric and sphere.body2.symmetric):
+        raise UnsupportedInputError("symmetric closed curves need symmetric bodies")
+    if sphere.dim < 3:
+        raise UnsupportedInputError("symmetric closed curves need ambient dimension >= 3")
     if count < 1:
         raise PreconditionError(f"starts must be >= 1, got {count}")
     if N < 3:
         raise PreconditionError(f"N must be >= 3, got {N}")
-    eye = np.eye(dim)
-    planes = [(0, 1), (0, 2), (1, 2)] if dim >= 3 else [(0, 1)]
-    starts = [_great_circle(eye[i], eye[j], N) for i, j in planes]
+    rng = np.random.default_rng(seed)
+    eye = np.eye(sphere.dim)
+    starts = [_great_circle(eye[i], eye[j], N) for i, j in [(0, 1), (0, 2), (1, 2)]]
     while len(starts) < count:
-        starts.append(_random_circle(rng, dim, N))
-    return np.stack(starts[:count])
+        starts.append(_random_circle(rng, sphere.dim, N))
+    return project_to_surface(sphere.body1, np.stack(starts[:count]))
 
 
 def _upsample(x: Array, closure) -> Array:
@@ -335,13 +340,7 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
     """Length of the shortest centrally symmetric closed geodesic found by
     multi-start discrete minimization with mesh continuation."""
     opts = opts or GirthOptions()
-    if not (sphere.body1.symmetric and sphere.body2.symmetric):
-        raise UnsupportedInputError("girth requires symmetric bodies")
-    if sphere.dim < 3:
-        raise UnsupportedInputError("girth requires ambient dimension >= 3")
-    rng = np.random.default_rng(opts.seed)
-    starts = _symmetric_starts(rng, sphere.dim, opts.N, opts.starts)
-    x0 = project_to_surface(sphere.body1, starts)
+    x0 = _symmetric_starts(sphere, opts.N, opts.starts, opts.seed)
     value, err, lengths, x, resid = _continuation(
         sphere, x0, "symmetric", opts.tol, 4000, opts.levels
     )
@@ -389,8 +388,7 @@ def length_spectrum_probe(
     loops are not searched: on a sphere every one is contractible and
     shrinks to a point under energy descent.
     """
-    rng = np.random.default_rng(seed)
-    x0 = project_to_surface(sphere.body1, _symmetric_starts(rng, sphere.dim, N, k_starts))
+    x0 = _symmetric_starts(sphere, N, k_starts, seed)
     value, _, _, _, resid = _continuation(sphere, x0, "symmetric", 1e-11, 4000, levels)
     found = sorted(value[resid <= 1e-5].tolist())
     clustered = []
@@ -405,13 +403,11 @@ def _slerp_arc(a: Array, b: Array, K: int, rng) -> Array:
     bh = b / np.linalg.norm(b)
     dot = float(np.clip(ah @ bh, -1.0, 1.0))
     if dot < -1.0 + 1e-10:
-        # near-antipodal: route through a random orthogonal waypoint
+        # near-antipodal: the half great circle through a random orthogonal w
         w = rng.standard_normal(a.shape[0])
         w -= (w @ ah) * ah
         w /= np.linalg.norm(w)
-        half1 = _slerp_arc(ah, w, K // 2, rng)
-        half2 = _slerp_arc(w, bh, K - K // 2, rng)
-        return np.concatenate([half1, half2[1:]], axis=0)
+        return np.concatenate([_great_circle(ah, w, K), bh[None]])
     ang = np.arccos(dot)
     ts = np.linspace(0.0, 1.0, K + 1)
     if ang < 1e-12:
@@ -440,15 +436,12 @@ def _path_lengths(sphere: EmbeddedSphere, starts: list) -> Array:
     return _continuation(sphere, x, (a, b), 1e-10, 2000, 2)[2][:, -1]
 
 
-def shortest_path_length(
-    sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24, rng=None
-) -> float:
+def shortest_path_length(sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24) -> float:
     """Chord-gauge length of a locally shortest discrete path from a to b
-    (endpoints fixed, interior vertices free).  A lower bound for the true
-    induced distance.  Coincident endpoints give 0.0 without a solve."""
-    rng = rng or np.random.default_rng(0)
-    start = _path_start(sphere, a, b, K, rng)
-    if np.array_equal(start[0], start[1]):
+    (endpoints fixed, interior vertices free): a lower bound for the induced
+    distance, 0.0 without a solve when the projected ends agree to 1e-12."""
+    start = _path_start(sphere, a, b, K, np.random.default_rng(0))
+    if np.linalg.norm(start[0] - start[1]) <= 1e-12 * np.linalg.norm(start[0]):
         return 0.0
     return float(_path_lengths(sphere, [start])[0])
 

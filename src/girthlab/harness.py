@@ -35,6 +35,7 @@ from .maps import Phi, phi, psi
 from .measures import action, crofton_line_measure, ht_volume
 from .metric import (
     EmbeddedSphere,
+    cosphere_lift,
     induced_hamiltonian,
     radial_chart,
     restrict_covector,
@@ -277,8 +278,7 @@ def _closed_cosphere_loop(sphere: EmbeddedSphere, n_pts: int, seed: int):
     c = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
     dc = -np.sin(theta)[:, None] * u + np.cos(theta)[:, None] * v
     q, _, dq = radial_chart(sphere.body1, c, dc)
-    p = restrict_covector(sphere, sphere.body2.gradient(dq), q)
-    return q, p
+    return q, cosphere_lift(sphere, q, dq)
 
 
 def run_maps_battery(sphere: EmbeddedSphere, n_samples: int, seed: int) -> dict:
@@ -515,12 +515,10 @@ def emit_plot_data(report: ExperimentReport, path_stem: str) -> list:
         cert = res["certificate"]
         lengths = cert["continuation_lengths"]
         n0 = cert["n_half_final"] // (2 ** (len(lengths) - 1))
-        rows = []
-        for i, L in enumerate(lengths):
-            rich = (
-                (4.0 * lengths[i] - lengths[i - 1]) / 3.0 if i > 0 else lengths[i]
-            )
-            rows.append((n0 * 2**i, L, rich))
+        rows = [
+            (n0 * 2**i, L, (4.0 * L - lengths[i - 1]) / 3.0 if i else L)
+            for i, L in enumerate(lengths)
+        ]
         p = f"{path_stem}_continuation.csv"
         _write_csv(p, ["N", "length", "richardson_estimate"], rows)
         written.append(p)

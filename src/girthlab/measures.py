@@ -214,12 +214,8 @@ def crofton_line_measure(
         rng = np.random.default_rng(seed)
         total = 0.0
         total_sq = 0.0
-        count = 0
-        overflow = False
-        remaining = n_samples
-        while remaining > 0:
-            k = min(_BATCH, remaining)
-            remaining -= k
+        for start in range(0, n_samples, _BATCH):
+            k = min(_BATCH, n_samples - start)
             u = rng.standard_normal((k, 3))
             u /= np.linalg.norm(u, axis=-1, keepdims=True)
             t1, t2 = tangent_basis(u).transpose(2, 0, 1)
@@ -242,25 +238,21 @@ def crofton_line_measure(
             _, val = minimize_along_conormal(M, Q[cand], gs[cand])
             hit[cand] = val < 1.0 - 1e-10
             if np.any(hit & (rad > 0.97 * R_Q)):
-                overflow = True
+                R_Q *= 1.5  # a hit near the disc edge: retry on a larger disc
                 break
             X = J * hit
             total += float(X.sum())
             total_sq += float((X**2).sum())
-            count += k
-        if overflow:
-            R_Q *= 1.5
-            continue
-        norm = 4.0 * np.pi * np.pi * R_Q**2
-        mean = total / count
-        var = max(total_sq / count - mean**2, 0.0)
-        stderr = norm * np.sqrt(var / count)
-        return VolumeReport(
-            value=norm * mean,
-            method="monte_carlo",
-            samples=count,
-            seed=seed,
-            error_estimate=stderr,
-            details={"R_Q": R_Q, "hit_fraction": mean},
-        )
+        else:
+            norm = 4.0 * np.pi * np.pi * R_Q**2
+            mean = total / n_samples
+            var = max(total_sq / n_samples - mean**2, 0.0)
+            return VolumeReport(
+                value=norm * mean,
+                method="monte_carlo",
+                samples=n_samples,
+                seed=seed,
+                error_estimate=norm * np.sqrt(var / n_samples),
+                details={"R_Q": R_Q, "hit_fraction": mean},
+            )
     raise NumericalFailureError("bounding region kept overflowing")

@@ -48,7 +48,7 @@ class EmbeddedSphere:
     def swapped(self) -> "EmbeddedSphere":
         """The dual-side sphere: base = dual of body2, ambient = dual norm of
         body1."""
-        return EmbeddedSphere(dual_body(self.body2), dual_body(self.body1))
+        return EmbeddedSphere(self.dual2, dual_body(self.body1))
 
 
 @dataclass

@@ -60,13 +60,28 @@ def test_girth_linear_invariance(tilted_ellipsoid):
     assert g1 == pytest.approx(2.0 * np.pi, rel=1e-6)
 
 
-def test_girth_requires_symmetric_bodies(round_sphere):
+# girth and the spectrum search the same class of centrally symmetric curves
+SYMMETRIC_SEARCHES = [
+    pytest.param(lambda s: girth(s, FAST), id="girth"),
+    pytest.param(lambda s: length_spectrum_probe(s, 3, seed=0, N=16), id="spectrum"),
+]
+
+
+@pytest.mark.parametrize("search", SYMMETRIC_SEARCHES)
+def test_girth_requires_symmetric_bodies(round_sphere, search):
     round_sphere.body1.symmetric = False
     try:
         with pytest.raises(UnsupportedInputError):
-            girth(round_sphere, FAST)
+            search(round_sphere)
     finally:
         round_sphere.body1.symmetric = True
+
+
+@pytest.mark.parametrize("search", SYMMETRIC_SEARCHES)
+def test_girth_requires_dimension_three(search):
+    disc = make_ellipsoid(np.eye(2))
+    with pytest.raises(UnsupportedInputError):
+        search(EmbeddedSphere(disc, disc))
 
 
 def test_symmetric_curve_needs_three_points():
@@ -313,6 +328,40 @@ def test_shortest_path_between_coincident_points(round_sphere):
     assert shortest_path_length(round_sphere, a, a) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_shortest_path_between_endpoints_equal_up_to_rounding(euclid, pm_body):
+    # a and 3a project to points of pm4 that differ in the last bit: no
+    # solve on zero-length chords, no divide warning
+    sphere = EmbeddedSphere(pm_body, euclid)
+    a = np.array([1.0, 0.2, -0.3])
+    assert not np.array_equal(*project_to_surface(pm_body, np.stack([a, 3.0 * a])))
+    assert shortest_path_length(sphere, a, 3.0 * a) == 0.0
+
+
+def test_antipodal_start_is_a_half_great_circle():
+    a = np.array([2.0, 0.0, 0.0])
+    arc = _slerp_arc(a, -a, 12, np.random.default_rng(5))
+    assert arc.shape == (13, 3)
+    assert np.array_equal(arc[0], [1.0, 0.0, 0.0]) and np.array_equal(arc[-1], [-1.0, 0.0, 0.0])
+    np.testing.assert_allclose(np.linalg.norm(arc, axis=1), 1.0, rtol=0, atol=1e-15)
+    # one plane through the origin, equal steps of pi / 12
+    assert np.abs(arc @ np.cross(arc[0], arc[3])).max() <= 1e-15
+    steps = np.arccos(np.clip(np.einsum("ij,ij->i", arc[1:], arc[:-1]), -1.0, 1.0))
+    np.testing.assert_allclose(steps, np.pi / 12, rtol=1e-12)
+
+
+def test_shortest_path_between_antipodal_points(round_sphere, euclid, pm_body):
+    # K = 24 gives 23 free vertices, 46 after the one upsampling: the path is
+    # the 47-chord half circle, 94 sin(pi / 94), just below pi
+    a = np.array([1.0, 0.0, 0.0])
+    L = shortest_path_length(round_sphere, a, -a)
+    assert L == pytest.approx(94.0 * np.sin(np.pi / 94.0), rel=1e-12)
+    # pm4 in the Euclidean norm: the value the recursive two-arc start gave
+    b = np.array([1.0, 0.2, -0.3])
+    L = shortest_path_length(EmbeddedSphere(pm_body, euclid), b, -b)
+    assert L == pytest.approx(2.4006604515327754, rel=1e-11)
+
+
 def test_diameter_probe_round_sphere(round_sphere):
     d = diameter_probe(round_sphere, 6, seed=0, K=16)
     assert d <= np.pi * (1.0 + 1e-6)
@@ -423,9 +472,7 @@ def test_girth_start_in_a_batch_equals_the_start_alone(
     calls = _logged_minimize(monkeypatch)
     res = girth(sphere, opts)
     batched = np.bincount(np.concatenate(calls), minlength=opts.starts)
-    starts = project_to_surface(
-        sphere.body1, _symmetric_starts(np.random.default_rng(opts.seed), 3, 16, 4)
-    )
+    starts = _symmetric_starts(sphere, 16, 4, opts.seed)
     best = res.certificate["start_index"]
     # every start alone on the primal side, the best one on the costlier dual
     alone = {}

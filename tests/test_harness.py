@@ -418,7 +418,7 @@ def test_emit_plot_data_spectrum(tmp_path):
     rep = run(cfg)
     paths = emit_plot_data(rep, str(tmp_path / "spectrum"))
     assert paths
-    body = open(paths[0]).read()
+    body = Path(paths[0]).read_text()
     assert body.startswith("primal,dual\n")
 
 
@@ -427,7 +427,7 @@ def test_emit_plot_data_crofton(tmp_path):
     rep = run(cfg)
     (path,) = emit_plot_data(rep, str(tmp_path / "c"))
     assert path == str(tmp_path / "c_crofton.csv")
-    header, row, end = open(path).read().split("\n")
+    header, row, end = Path(path).read_text().split("\n")
     assert header == "samples,estimate,stderr" and end == ""
     line = rep.results["line_measure"]
     assert row.split(",")[0] == "2000"

@@ -3,6 +3,7 @@ import pytest
 
 from girthlab import (
     EmbeddedSphere,
+    NumericalFailureError,
     PreconditionError,
     UnsupportedInputError,
     action,
@@ -13,10 +14,12 @@ from girthlab import (
     make_power_mean,
     sample_cosphere,
 )
+from girthlab import measures
 from girthlab.bodies import dual_body, numeric_dual, scale_body, tangent_basis
 from girthlab.measures import _FLOOR_MARGIN, _gauge_floor, _ht_volume_once, _polar_area
 from girthlab.metric import minimize_along_conormal
 
+import oracles
 from oracles import crofton_radius, dense_section_support, draw_lines, unculled_crofton
 
 RNG = np.random.default_rng(23)
@@ -247,6 +250,46 @@ def test_crofton_is_pinned(named_bodies):
     rep = crofton_line_measure(named_bodies["e-amb"], named_bodies["pm4"], 200_000, seed=0)
     assert rep.value == pytest.approx(26.148594037562447, rel=1e-13)
     assert rep.error_estimate == pytest.approx(0.19549336890603086, rel=1e-13)
+
+
+def _shrink_disc(monkeypatch, factor, batch):
+    """Scale every Euclidean radius the Crofton disc is built from by
+    ``factor`` and draw ``batch`` lines at a time, in girthlab and in the
+    oracles (which import both names) alike."""
+    radius = measures._euclid_radius
+    for module in (measures, oracles):
+        monkeypatch.setattr(module, "_euclid_radius", lambda body: radius(body) * factor)
+        monkeypatch.setattr(module, "_BATCH", batch)
+
+
+@pytest.mark.parametrize("ambient, M", [("ball", "e-086"), ("e-086", "pm4")])
+def test_crofton_retries_on_a_larger_disc(monkeypatch, named_bodies, ambient, M):
+    # a disc too small for M: a hit near its edge, in any of the three
+    # batches, grows R_Q by 1.5 and restarts the same draws; here twice
+    _shrink_disc(monkeypatch, 0.4, 20_000)
+    args = named_bodies[ambient], named_bodies[M], 50_000, 2
+    rep, ref = crofton_line_measure(*args), unculled_crofton(*args)
+    assert rep.details["R_Q"] == crofton_radius(*args[:2]) * 1.5 * 1.5
+    assert rep.samples == 50_000
+    assert (rep.value, rep.error_estimate, rep.details) == (
+        ref.value,
+        ref.error_estimate,
+        ref.details,
+    )
+
+
+def test_crofton_gives_up_after_four_discs(monkeypatch, named_bodies):
+    _shrink_disc(monkeypatch, 0.01, 20_000)
+    solve, batches = measures.minimize_along_conormal, []
+
+    def counted(M, Q, gs):
+        batches.append(1)
+        return solve(M, Q, gs)
+
+    monkeypatch.setattr(measures, "minimize_along_conormal", counted)
+    with pytest.raises(NumericalFailureError, match="kept overflowing"):
+        crofton_line_measure(named_bodies["ball"], named_bodies["e-086"], 50_000, 2)
+    assert len(batches) == 4  # each disc overflows in its first batch
 
 
 # ---------------------------------------------------------------------------
