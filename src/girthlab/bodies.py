@@ -227,7 +227,9 @@ _DUAL_TOL = 1e-13
 _DUAL_MAXIT = 80
 
 
-def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] = None) -> Array:
+def _solve_gradient_inverse(
+    body: GaugeBody, xi: Array, basis: Optional[Array] = None, start: Optional[Array] = None
+) -> Array:
     """Solve grad(0.5 F^2)(x) = xi for each covector in the batch.
 
     The map is the gradient of a strongly convex 2-homogeneous function, so
@@ -235,15 +237,23 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] =
     quadratic-model start ``H(xi)^{-1} xi``.  Each trial point takes one
     order-2 jet of the primal, which gives its residual for the backtracking
     test and the Newton step from it; an accepted trial carries that step
-    into the next pass.  A row whose residual is still above 1e-9 after
+    into the next pass, and only the rows still pending take the next
+    halving.  A row whose residual is still above 1e-9 after
     ``_DUAL_MAXIT`` passes raises :class:`NumericalFailureError` with the
     largest support value reached.
 
+    ``start``, shaped like ``xi``, warm-starts the rows where it is finite:
+    the solution is 1-homogeneous in xi, so such a row begins the same
+    iteration at ``start / |xi|``, say the solution for a nearby covector.
+    NaN rows take the quadratic-model start.  A warm start that does not
+    converge raises like a cold one and is not retried.
+
     With an orthonormal ``basis`` T of shape (m, n, k), one per row of a
     (m, n) batch, the same iteration runs on the section x = T z from the
-    start T'H(xi)T z = T'xi: it solves T'(grad(0.5 F^2)(T z) - xi) = 0 and
-    returns x = T z, the minimizer of 0.5 F(x)^2 - <xi, x> over the section,
-    so F(x) is the largest <xi, y> / F(y) there.
+    start T'H(xi)T z = T'xi (or T'start / |xi|): it solves
+    T'(grad(0.5 F^2)(T z) - xi) = 0 and returns x = T z, the minimizer of
+    0.5 F(x)^2 - <xi, x> over the section, so F(x) is the largest
+    <xi, y> / F(y) there.
     """
     xi = np.asarray(xi, dtype=float)
     xib = xi.reshape(-1, xi.shape[-1])
@@ -260,13 +270,24 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] =
             H = np.swapaxes(T, -1, -2) @ H @ T
         return np.linalg.solve(H, r[..., None])[..., 0]
 
+    def model(x, T):
+        """The quadratic-model start at the covectors x."""
+        return solve(body.jet(x, 2)[2], project(x, T), T)
+
     def newton(target, z, T):
         """Residual norm and Newton step at the points T z, from one jet."""
         F, g, H = body.jet(lift(z, T), 2)
         r = project(target - F[..., None] * g, T)
         return np.linalg.norm(r, axis=-1), solve(H, r, T)
 
-    z = solve(body.jet(xin, 2)[2], project(xin, basis), basis)
+    if start is None:
+        z = model(xin, basis)
+    else:
+        start = np.asarray(start, dtype=float).reshape(xib.shape)
+        z = project(start / nrm[:, None], basis)
+        cold = np.isnan(z).any(axis=-1)
+        if cold.any():
+            z[cold] = model(xin[cold], None if basis is None else basis[cold])
     res, d = newton(xin, z, basis)
     active = res > _DUAL_TOL
     for _ in range(_DUAL_MAXIT):
@@ -276,16 +297,18 @@ def _solve_gradient_inverse(body: GaugeBody, xi: Array, basis: Optional[Array] =
         Ta = None if basis is None else basis[idx]
         target, za, da, res0 = xin[idx], z[idx], d[idx], res[idx]
         lam = np.ones(idx.size)
-        pending = np.ones(idx.size, dtype=bool)
         for _bt in range(30):
             trial = za + lam[:, None] * da
             tres, td = newton(target, trial, Ta)
-            ok = pending & (tres < (1.0 - 1e-4 * lam) * res0)
+            ok = tres < (1.0 - 1e-4 * lam) * res0
             z[idx[ok]], res[idx[ok]], d[idx[ok]] = trial[ok], tres[ok], td[ok]
-            pending &= ~ok
-            if not np.any(pending):
+            if ok.all():
                 break
-            lam[pending] *= 0.5
+            # halve the step of the rows still pending, and evaluate only them
+            keep = ~ok
+            idx, target, za, da, res0 = idx[keep], target[keep], za[keep], da[keep], res0[keep]
+            lam = 0.5 * lam[keep]
+            Ta = None if Ta is None else Ta[keep]
         active = ~(res <= _DUAL_TOL)
     x = lift(z, basis)
     if not np.all(res <= 1e-9):  # NaN rows fail too
@@ -323,24 +346,38 @@ def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
     return q
 
 
+def numeric_dual_jet(primal: GaugeBody, xi: Array, order: int, start: Optional[Array] = None):
+    """The numeric dual's jet ``(F*, grad F*, Hess(0.5 F*^2))`` at xi up to
+    ``order``, and the gradient-inverse solution y of the primal behind it.
+
+    One solve of grad(0.5 F^2)(y) = xi, warm-started from ``start`` as in
+    :func:`_solve_gradient_inverse`, and the primal's jet at y:
+    F*(xi) = F(y), grad F*(xi) = y / F(y) and
+    Hess(0.5 F*^2)(xi) = Hess(0.5 F^2)(y)^{-1}.  A caller that evaluates
+    nearby covectors again passes y back as the next start.
+    """
+    y = _solve_gradient_inverse(primal, xi, start=start)
+    Fy, _, Hy = primal.jet(y, 2 if order == 2 else 0)
+    g = y / Fy[..., None] if order else None
+    return Fy, g, None if Hy is None else np.linalg.inv(Hy), y
+
+
 def numeric_dual(body: GaugeBody) -> GaugeBody:
     """Dual body with F*, grad F* and Hess(0.5 F*^2) obtained from the primal
     by gradient inversion (no closed form assumed).
 
-    The jet takes one gradient-inverse solve y of the primal and the
-    primal's jet there: F*(xi) = F(y), grad F*(xi) = y / F(y) and
-    Hess(0.5 F*^2)(xi) = Hess(0.5 F^2)(y)^{-1}.  The conormal line minimum
-    min_t F*(p + t n) does not call this jet: ``metric._line_minimum``
-    recognizes the kind "dual" and solves the gradient inverse once on the
-    primal's section n'x = 0 instead, with the ``basis`` argument of the
-    same Newton solver.
+    The jet is :func:`numeric_dual_jet` from the quadratic-model start: one
+    gradient-inverse solve y of the primal and the primal's jet there.  The
+    polygon energies of ``geodesics`` call :func:`numeric_dual_jet` on the
+    primal ``params["primal"]`` instead, warm-started from each polygon's
+    previous solutions.  The conormal line minimum min_t F*(p + t n) does
+    not call this jet: ``metric._line_minimum`` recognizes the kind "dual"
+    and solves the gradient inverse once on the primal's section n'x = 0
+    instead, with the ``basis`` argument of the same Newton solver.
     """
 
     def jet(xi, order):
-        y = _solve_gradient_inverse(body, xi)
-        Fy, _, Hy = body.jet(y, 2 if order == 2 else 0)
-        g = y / Fy[..., None] if order else None
-        return Fy, g, None if Hy is None else np.linalg.inv(Hy)
+        return numeric_dual_jet(body, xi, order)[:3]
 
     return GaugeBody(
         dim=body.dim,

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bodies import half_sq_jet
+from .bodies import numeric_dual_jet
 from .errors import PreconditionError, UnsupportedInputError
 from .metric import (
     CoSpherePoint,
@@ -96,15 +96,30 @@ def _length(sphere: EmbeddedSphere, x: Array, closure) -> Array:
     return 2.0 * L if closure == "symmetric" else L
 
 
-def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure):
+def _jet(body, x, order, warm, rows):
+    """``body.jet(x, order)``, or with a ``warm`` array the numeric dual
+    ``body``'s jet, its gradient-inverse solve started from ``warm[rows]``
+    (NaN rows from the quadratic model) and its solutions written back."""
+    if warm is None:
+        return body.jet(x, order)
+    F, g, H, warm[rows] = numeric_dual_jet(body.params["primal"], x, order, warm[rows])
+    return F, g, H
+
+
+def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure, warm=(None, None), rows=None):
     """Energies of the radially projected polygons and their gradients with
-    respect to the free vertices y."""
+    respect to the free vertices y.  For a numeric-dual base and ambient,
+    ``warm`` holds the gradient-inverse solutions at the vertices and at
+    the chords of every problem (None for any other body), and ``rows``
+    says which problems y holds: their solves start from these solutions
+    and replace them."""
     body1, body2 = sphere.body1, sphere.body2
     n = y.shape[1]
-    F1, grad1, _ = body1.jet(y, 1)
+    F1, grad1, _ = _jet(body1, y, 1, warm[0], rows)
     x = y / F1[..., None]
     c = np.diff(_chain(x, closure), axis=1)
-    Fc, Fgrad, _ = half_sq_jet(body2, c, hessian=False)
+    Fc, gc, _ = _jet(body2, c, 1, warm[1], rows)
+    Fgrad = Fc[..., None] * gc  # the gradient of 0.5 F^2
     m = 2 * n if closure == "symmetric" else c.shape[1]
     E = m * np.sum(Fc**2, axis=-1)
     w = (2.0 * m) * Fgrad
@@ -316,18 +331,30 @@ def _continuation(sphere, x, closure, tol, maxiter, levels):
     """Minimize the energies of the surface polygons x (B, n, dim) together,
     doubling the vertex count at each further level.  Returns per polygon
     the extrapolated value and its error, the lengths (B, levels), the final
-    vertices and the norm of the final gradient."""
+    vertices and the norm of the final gradient.
+
+    Per level, each numeric-dual body (the base at the vertices, the
+    ambient at the chords) keeps one NaN-filled array of gradient-inverse
+    solutions, indexed by problem: every energy evaluation of a problem
+    warm-starts from the solutions of its previous one, and its first from
+    the quadratic model, so a problem runs alike alone and in a batch."""
     if levels < 1:
         raise PreconditionError("levels must be >= 1")
+    chords = 0 if closure == "symmetric" else 1  # chords beyond the free vertices
 
     def fun(z, rows):
         ends = closure if isinstance(closure, str) else tuple(e[rows] for e in closure)
-        return _energy_and_grad(sphere, z, ends)
+        return _energy_and_grad(sphere, z, ends, warm, rows)
 
     lengths = []
     for lvl in range(levels):
         if lvl > 0:
             x = project_to_surface(sphere.body1, _upsample(x, closure))
+        B, n, dim = x.shape
+        warm = [
+            np.full((B, n + extra, dim), np.nan) if body.kind == "dual" else None
+            for body, extra in ((sphere.body1, 0), (sphere.body2, chords))
+        ]
         res = minimize(fun, x, tol, maxiter)
         x = project_to_surface(sphere.body1, res.x)
         lengths.append(_length(sphere, x, closure))

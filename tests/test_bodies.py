@@ -268,21 +268,26 @@ def test_damped_gradient_inverse_solves_the_gradient_equation(name, section):
     rng = np.random.default_rng(p)
     xi = rng.standard_normal((2000, 3))
     T = tangent_basis(rng.standard_normal((2000, 3))) if section else None
-    x = bodies._solve_gradient_inverse(body, xi, T)
-    F, g, _ = body.jet(x, 1)
-    r = F[:, None] * g - xi
-    if section:
-        r = np.einsum("kia,ki->ka", T, r)
-    assert np.all(np.linalg.norm(r, axis=-1) <= 1e-12 * np.linalg.norm(xi, axis=-1))
+
+    def check(x):
+        F, g, _ = body.jet(x, 1)
+        r = F[:, None] * g - xi
+        if section:
+            r = np.einsum("kia,ki->ka", T, r)
+        assert np.all(np.linalg.norm(r, axis=-1) <= 1e-12 * np.linalg.norm(xi, axis=-1))
+
+    check(bodies._solve_gradient_inverse(body, xi, T))
+    # warm-started from the solution for a perturbed xi, a quarter of the
+    # rows cold
+    start = bodies._solve_gradient_inverse(body, xi + 0.05 * rng.standard_normal(xi.shape), T)
+    start[rng.random(len(xi)) < 0.25] = np.nan
+    check(bodies._solve_gradient_inverse(body, xi, T, start))
 
 
-@pytest.mark.parametrize("name", ["ellipsoid", "p8"])
-def test_gradient_inverse_takes_one_order_2_jet_per_trial(name):
-    # one order-2 jet at the start, then one per trial point set: it gives
-    # the trials' residuals and the Newton steps from them, so no jet only
-    # revisits points already evaluated and no order-1 jet is taken.  The
-    # views bind the jet in __post_init__, so replace() rebuilds them
-    # around the counting jet
+def _counting_body(name):
+    """A body of the damped cases (or an anisotropic ellipsoid) whose jet
+    logs each call's order and points.  The views bind the jet in
+    __post_init__, so replace() rebuilds them around the counting jet."""
     if name == "ellipsoid":
         base = make_ellipsoid(np.diag([1.0, 100.0, 0.01]))
     else:
@@ -293,7 +298,15 @@ def test_gradient_inverse_takes_one_order_2_jet_per_trial(name):
         calls.append((order, np.array(x)))
         return base.jet(x, order)
 
-    body = dataclasses.replace(base, jet=counting)
+    return dataclasses.replace(base, jet=counting), calls
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "p8"])
+def test_gradient_inverse_takes_one_order_2_jet_per_trial(name):
+    # one order-2 jet at the start, then one per trial point set: it gives
+    # the trials' residuals and the Newton steps from them, so no jet
+    # revisits a point already evaluated and no order-1 jet is taken
+    body, calls = _counting_body(name)
     rng = np.random.default_rng(3)
     xi = rng.standard_normal((200, 3))
     for T in (None, tangent_basis(rng.standard_normal((200, 3)))):
@@ -302,18 +315,37 @@ def test_gradient_inverse_takes_one_order_2_jet_per_trial(name):
         seen = set()
         for order, x in calls:
             rows = {row.tobytes() for row in x}
-            assert order == 2 and not rows <= seen
+            assert order == 2 and rows.isdisjoint(seen)
             seen |= rows
         if name == "ellipsoid":
             # the quadratic-model start is exact: the start and its check
             assert len(calls) == 2
 
 
-def test_unconverged_dual_inverse_raises(monkeypatch, pm_body):
-    # no Newton pass leaves the quadratic-model start's residual standing
+@pytest.mark.parametrize("name", ["ellipsoid", "p8"])
+def test_gradient_inverse_from_its_solution_takes_one_jet(name):
+    # a start at the solution is already accepted: its one order-2 jet is
+    # the residual check, with no quadratic-model jet before it
+    body, calls = _counting_body(name)
+    rng = np.random.default_rng(4)
+    xi = 3.0 * rng.standard_normal((200, 3))
+    for T in (None, tangent_basis(rng.standard_normal((200, 3)))):
+        x = bodies._solve_gradient_inverse(body, xi, T)
+        calls.clear()
+        again = bodies._solve_gradient_inverse(body, xi, T, x)
+        assert [order for order, _ in calls] == [2]
+        np.testing.assert_allclose(again, x, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_unconverged_dual_inverse_raises(monkeypatch, pm_body, warm):
+    # no Newton pass leaves the start's residual standing: the quadratic
+    # model's, or an off warm start's, which is not retried cold
     monkeypatch.setattr(bodies, "_DUAL_MAXIT", 0)
+    xi = np.array([0.3, -0.5, 0.8])
+    start = np.array([1.0, 0.2, -0.4]) if warm else None
     with pytest.raises(NumericalFailureError) as info:
-        bodies.numeric_dual(pm_body).gauge(np.array([0.3, -0.5, 0.8]))
+        bodies.numeric_dual_jet(pm_body, xi, 0, start)
     assert np.isfinite(info.value.best_bound)
 
 
