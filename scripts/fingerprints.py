@@ -21,9 +21,13 @@ With ``--values`` each line is instead a JSON object ``{"seed", "name",
 values and ``Outcome.values``, or every number of a report's canonical
 JSON.  ``--compare`` reads two such outputs, say of two source trees, and
 prints each run's largest relative change |a - b| / max(|a|, |b|) with the
-number it came from, then the largest over all runs, and the largest over
-the numbers of magnitude max(|a|, |b|) above 1e-12, whose relative change
-is not a rounding residual's.
+number it came from; then, for each reported quantity that changed, its
+largest change over all runs and where it happened; then the largest over
+all runs, and the largest over the numbers of magnitude max(|a|, |b|) above
+1e-12, whose relative change is not a rounding residual's.  A quantity is a
+number path of one experiment (workload, or experiment of any config and
+seed), with a trailing list index dropped: every start length of girth is
+one quantity, ``girth results.certificate.start_lengths[]``.
 """
 
 import argparse
@@ -31,6 +35,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -106,6 +111,9 @@ def _numbers(node, path=""):
         yield path, node
 
 
+_LIST_INDEX = re.compile(r"\[\d+\]$")  # the index of a trailing list entry
+
+
 def _rel_change(a, b):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -122,6 +130,7 @@ def compare(old_path, new_path):
     old, new = load(old_path), load(new_path)
     mismatched = sorted(set(old) ^ set(new))
     worst, worst_above = (0.0, None), (0.0, None)
+    by_quantity = {}
     for key in sorted(set(old) & set(new)):
         a, b = old[key], new[key]
         if set(a) != set(b):
@@ -134,8 +143,16 @@ def compare(old_path, new_path):
         above = [c for c in changes if abs(a[c[1]]) > 1e-12 or abs(b[c[1]]) > 1e-12]
         change, line = _largest(key, a, b, above)
         worst_above = max(worst_above, (change, f"{key[0]} {key[1]} {line}"), key=_order)
+        experiment = key[1].rsplit(":", 1)[-1]
+        for c, p in changes:
+            q = f"{experiment} {_LIST_INDEX.sub('[]', p)}"
+            where = f"{c:.3g} at {key[0]} {key[1]} {p} {a[p]!r} -> {b[p]!r}"
+            by_quantity[q] = max(by_quantity.get(q, (0.0, None)), (c, where), key=_order)
     for key in mismatched:
         print(key[0], key[1], "runs or number paths differ")
+    for q, (c, where) in sorted(by_quantity.items()):
+        if c:
+            print("quantity", q, where)
     print("largest relative change", worst[1] if worst[1] else "0")
     print("largest relative change above 1e-12", worst_above[1] if worst_above[1] else "0")
     return 1 if mismatched else 0
