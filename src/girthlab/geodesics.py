@@ -12,7 +12,10 @@ count grows.  Discrete curve *energy* (segment count times the sum of
 squared chord gauges) is the optimization objective: its minimizers are
 constant-speed discrete geodesics, whereas raw chord length admits spurious
 collapsed configurations.  Reported lengths are always plain chord-gauge
-sums.
+sums.  The characteristic flow runs one batched RK4 stepper by parareal:
+coarse steps over windows of 64 or more steps, one start at a time, and
+fine sweeps of all windows at once, until the windows' seams agree to
+1e-14; a flow of at most 127 steps is one sweep, the sequential stepper.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .bodies import numeric_dual_jet
-from .errors import PreconditionError, UnsupportedInputError
+from .errors import NumericalFailureError, PreconditionError, UnsupportedInputError
 from .metric import (
     CoSpherePoint,
     EmbeddedSphere,
@@ -58,6 +61,8 @@ class CharacteristicTrajectory:
     times: Array
     closure_residual: float
     g_drift: float
+    sweeps: int
+    seam_residual: float
 
 
 @dataclass
@@ -541,28 +546,69 @@ def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24)
 
 
 def _field(F1, H1, t, m):
-    """The flat state derivative (q', p') from the base's F1 and
+    """The flat state derivatives (q', p') of rows from the base's F1 and
     H1 = Hess(0.5 F1^2) at q and the line minimum (t, m = grad F2*):
     q' = m and p' = -(t / F1) H1 m.  The full field's n (n . m) term,
     n = grad F1, is left out: m is orthogonal to n at the line minimum, the
     first-order condition of min_t F2*(p + t n)."""
-    return np.concatenate((m, -(t / F1) * (H1 @ m)))
+    return np.concatenate((m, -(t / F1)[:, None] * np.matmul(H1, m[..., None])[..., 0]), axis=1)
+
+
+def _stage(sphere: EmbeddedSphere, y: Array) -> Array:
+    """The field at rows y (B, 2 dim) of flat states (q, p): one order-2 jet
+    of the base and one line minimum of the dual ambient on all rows."""
+    F1, n, H1 = sphere.body1.jet(y[:, : sphere.dim], 2)
+    t, _, m = _line_minimum(sphere.dual2, y[:, sphere.dim :], n, 1)
+    return _field(F1, H1, t, m)
+
+
+def _project(sphere: EmbeddedSphere, y: Array):
+    """Rows y of flat states on the unit co-sphere (q radially projected, p
+    re-canonicalized and rescaled by G), the field there and G, from one jet:
+    grad F1 and Hess(0.5 F1^2) are 0-homogeneous and F1 = 1 at the projected
+    q, and F2* is 1-homogeneous, so the line minimum through p / G is t / G."""
+    dim = sphere.dim
+    F1, n, H1 = sphere.body1.jet(y[:, :dim], 2)
+    q = y[:, :dim] / F1[:, None]
+    p = y[:, dim:] - (y[:, None, dim:] @ q[:, :, None])[:, 0] * n
+    t, G, m = _line_minimum(sphere.dual2, p, n, 1)
+    return np.concatenate((q, p / G[:, None]), axis=1), _field(1.0, H1, t / G, m), G
+
+
+def _rk4_step(sphere: EmbeddedSphere, y: Array, k1: Array, h: float):
+    """One classical RK4 step of size h from rows y with first stages k1,
+    then :func:`_project`: 4 base jets and 4 line minima on all rows."""
+    k2 = _stage(sphere, y + 0.5 * h * k1)
+    k3 = _stage(sphere, y + 0.5 * h * k2)
+    k4 = _stage(sphere, y + h * k3)
+    return _project(sphere, y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+_WINDOW = 64  # least number of flow steps in a parareal window
+_SEAM_TOL = 1e-14  # largest seam |F(U_j) - U_{j+1}|_inf at which the windows join
 
 
 def characteristic_flow(
     sphere: EmbeddedSphere, start: CoSpherePoint, T: float, dt: float
 ) -> CharacteristicTrajectory:
     """Integrate the unit-level Hamiltonian flow of the induced co-sphere
-    bundle with a classical 4th-order stepper; after each step the point is
-    radially re-projected, the covector re-canonicalized and rescaled back
-    to the unit level.  The flow parameter is ambient-norm arclength of the
-    base curve.
+    bundle with a classical 4th-order stepper (:func:`_rk4_step`); after
+    each step the point is radially re-projected, the covector
+    re-canonicalized and rescaled back to the unit level.  The flow
+    parameter is ambient-norm arclength of the base curve.
 
-    The stepper carries (q, p) as one flat state of length 2 dim, so each
-    stage combination is one array expression, and writes each step's q
-    and p into row i of the preallocated ``qs`` and ``ps``.  A stage is
-    one order-2 jet of the base at q and one line minimum of the dual
-    ambient through p, both on single points."""
+    The n = ceil(T / dt) steps of size h form W = max(1, n // 64) windows,
+    the first n mod W one step longer, solved by parareal (Lions, Maday and
+    Turinici, 2001).  Each round corrects the window starts in turn, U_{j+1}
+    = F(U_j) + G(U_j) - G_old(U_j) then projected, where the coarse G is one
+    step of the window's length from one start (F = G_old = 0 in the first
+    round: a coarse pass), then runs the fine sweep F, every window's steps
+    of size h from all starts as one batch.  It stops when every seam
+    |F(U_j) - U_{j+1}|_inf is at most 1e-14 and raises
+    :class:`NumericalFailureError` if the seams have not settled in W + 1
+    sweeps.  The trajectory is the last sweep's steps; with W = 1 (n <= 127)
+    that is one sweep of the sequential stepper.  ``sweeps`` counts the fine
+    sweeps and ``seam_residual`` is the largest last seam."""
     if not (np.isfinite(T) and np.isfinite(dt) and T > 0 and dt > 0):
         raise PreconditionError(f"T and dt must be finite and positive, got {T!r}, {dt!r}")
     q = np.asarray(start.q, dtype=float)
@@ -573,39 +619,32 @@ def characteristic_flow(
     n_steps = int(np.ceil(T / dt))
     h = T / n_steps
     dim = q.shape[-1]
-    jet, dual = sphere.body1.jet, sphere.dual2
+    W = max(1, n_steps // _WINDOW)
+    m, r = divmod(n_steps, W)
+    steps = m + (np.arange(W) < r)
+    first = np.concatenate(([0], np.cumsum(steps)[:-1]))  # each start's trajectory row
     qs, ps = np.empty((n_steps + 1, dim)), np.empty((n_steps + 1, dim))
     qs[0], ps[0] = q, p
-    drift = 0.0
-
-    def field(y):
-        F1, n, H1 = jet(y[:dim], 2)
-        t, _, m = _line_minimum(dual, y[dim:], n, 1)
-        return _field(F1, H1, t, m)
-
-    y = np.concatenate((q, p))
-    k1 = field(y)
-    for i in range(1, n_steps + 1):
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # one jet projects q and gives the next k1: grad F1 and Hess(0.5 F1^2)
-        # are 0-homogeneous, and F1 = 1 after the projection
-        F1, n, H1 = jet(y[:dim], 2)
-        q = np.divide(y[:dim], F1, out=qs[i])
-        p = y[dim:] - (y[dim:] @ q) * n
-        t, G, m = _line_minimum(dual, p, n, 1)
-        drift = max(drift, abs(float(G) - 1.0))
-        np.divide(p, G, out=ps[i])
-        y = np.concatenate((q, ps[i]))
-        # F2* is 1-homogeneous: the line minimum through p / G is t / G
-        k1 = _field(1.0, H1, t / G, m)
+    U = np.tile(np.concatenate((q, p)), (W, 1))  # the window starts and their k1
+    K = np.tile(_stage(sphere, U[:1]), (W, 1))
+    F, G_old = np.zeros((W - 1, 2 * dim)), np.zeros((W - 1, 2 * dim))
+    for sweeps in range(1, W + 2):
+        for j in range(W - 1):
+            g = _rk4_step(sphere, U[j, None], K[j, None], steps[j] * h)[0]
+            U[j + 1], K[j + 1], _ = _project(sphere, F[j] + g - G_old[j])
+            G_old[j] = g[0]
+        y, k1, drift = U.copy(), K.copy(), 0.0
+        for i in range(1, steps[0] + 1):
+            live = slice(None) if i <= m else slice(r)  # the longer windows' last step
+            y[live], k1[live], G = _rk4_step(sphere, y[live], k1[live], h)
+            qs[first[live] + i], ps[first[live] + i] = y[live, :dim], y[live, dim:]
+            drift = max(drift, float(np.abs(G - 1.0).max()))
+        F = y[:-1]
+        seam = float(np.abs(F - U[1:]).max(initial=0.0))
+        if seam <= _SEAM_TOL:
+            break
+    else:
+        raise NumericalFailureError(f"flow seams at {seam:.3g} after {W + 1} sweeps", seam)
     residual = float(np.linalg.norm(qs[-1] - qs[0]) + np.linalg.norm(ps[-1] - ps[0]))
-    return CharacteristicTrajectory(
-        qs=qs,
-        ps=ps,
-        times=np.concatenate(([0.0], np.cumsum(np.full(n_steps, h)))),
-        closure_residual=residual,
-        g_drift=float(drift),
-    )
+    times = np.concatenate(([0.0], np.cumsum(np.full(n_steps, h))))
+    return CharacteristicTrajectory(qs, ps, times, residual, drift, sweeps, seam)

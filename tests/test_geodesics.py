@@ -6,6 +6,7 @@ import pytest
 from girthlab import (
     EmbeddedSphere,
     GirthOptions,
+    NumericalFailureError,
     PreconditionError,
     UnsupportedInputError,
     characteristic_flow,
@@ -264,6 +265,9 @@ def test_flow_on_ellipsoid_ambient_takes_closed_form_line_minima(
     [
         ("pm_body6", "tilted_ellipsoid", 1024),  # ellipsoid dual: closed-form line minima
         ("aniso_ellipsoid", "pm_body", 256),  # numeric dual: section solves
+        # 1000 steps make 15 parareal windows, 10 of 67 steps and 5 of 66
+        ("pm_body6", "tilted_ellipsoid", 1000),
+        ("aniso_ellipsoid", "pm_body", 1000),
     ],
 )
 def test_flow_matches_the_per_row_stepper(request, base, ambient, steps):
@@ -276,6 +280,83 @@ def test_flow_matches_the_per_row_stepper(request, base, ambient, steps):
     assert traj.qs.shape == qs.shape == (steps + 1, 3)
     np.testing.assert_allclose(traj.qs, qs, rtol=0, atol=1e-13)
     np.testing.assert_allclose(traj.ps, ps, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "base, ambient", [("pm_body6", "tilted_ellipsoid"), ("aniso_ellipsoid", "pm_body")]
+)
+def test_batched_flow_step_gives_each_row_its_bits(request, base, ambient):
+    # the RK4 stepper on 7 independent co-sphere starts at once: each row
+    # has the bits of the same start stepped alone, and of the flow itself
+    s = EmbeddedSphere(request.getfixturevalue(base), request.getfixturevalue(ambient))
+    q, p = sample_cosphere(s, 7, np.random.default_rng(3))
+    y = np.concatenate((q, p), axis=1)
+    k1 = geodesics._stage(s, y)
+    rows = [(y[i, None], geodesics._stage(s, y[i, None])) for i in range(7)]
+    for _ in range(3):
+        y, k1, _ = geodesics._rk4_step(s, y, k1, 1 / 64)
+        rows = [geodesics._rk4_step(s, yi, ki, 1 / 64)[:2] for yi, ki in rows]
+    assert y.tobytes() == np.concatenate([yi for yi, _ in rows]).tobytes()
+    assert k1.tobytes() == np.concatenate([ki for _, ki in rows]).tobytes()
+    for i in range(7):
+        traj = characteristic_flow(s, CoSpherePoint(q[i], p[i]), 3 / 64, 1 / 64)
+        assert np.concatenate((traj.qs[-1], traj.ps[-1])).tobytes() == y[i].tobytes()
+
+
+@pytest.fixture(scope="module")
+def pm6_girth_lift(pm_body6, tilted_ellipsoid):
+    """The girth of pm6 in the tilted ellipsoid's norm and the co-sphere lift
+    of the first vertex of its polygon."""
+    s = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    res = girth(s, FAST)
+    pts = res.curve.full_points
+    p0 = cosphere_lift(s, pts[0], pts[1] - pts[-1])
+    return res.girth, CoSpherePoint(pts[0], p0 / induced_hamiltonian(s, pts[0], p0))
+
+
+def test_flow_over_four_girths_settles_in_few_sweeps(pm_body6, tilted_ellipsoid, pm6_girth_lift):
+    g, start = pm6_girth_lift
+    s = EmbeddedSphere(pm_body6, tilted_ellipsoid)
+    traj = characteristic_flow(s, start, 4 * g, g / 4096)
+    assert len(traj.qs) == 4 * 4096 + 1
+    assert traj.sweeps <= 5
+    assert traj.seam_residual <= 1e-14
+
+
+def test_lifted_girth_flow_makes_few_base_jets(pm_body6, tilted_ellipsoid, pm6_girth_lift):
+    # the sequential stepper made 16,386 single-point base jets on this
+    # flow (the start's G, its k1, 4 a step); parareal's 3 sweeps make
+    # 1,715, on all 64 windows at once or on one window start
+    jets = []
+
+    def jet(x, order):
+        jets.append(1)
+        return pm_body6.jet(x, order)
+
+    g, start = pm6_girth_lift
+    s = EmbeddedSphere(dataclasses.replace(pm_body6, jet=jet), tilted_ellipsoid)
+    characteristic_flow(s, start, g, g / 4096)
+    assert len(jets) <= 2500
+
+
+def test_flow_raises_when_the_seams_do_not_settle(aniso_ellipsoid, euclid):
+    # a base jet with 1e-10 noise on each call: every fine sweep lands
+    # elsewhere, so the seams of 128 steps (2 windows) never settle, and
+    # the flow raises instead of running the steps in sequence.  At 127
+    # steps (1 window) there is no seam and one sweep
+    rng = np.random.default_rng(0)
+
+    def jet(x, order):
+        F, g, H = aniso_ellipsoid.jet(x, order)
+        return F * (1.0 + 1e-10 * rng.standard_normal(np.shape(F))), g, H
+
+    s = EmbeddedSphere(dataclasses.replace(aniso_ellipsoid, jet=jet), euclid)
+    q, p = sample_cosphere(EmbeddedSphere(aniso_ellipsoid, euclid), 1, np.random.default_rng(0))
+    traj = characteristic_flow(s, CoSpherePoint(q[0], p[0]), 127 / 64, 1 / 64)
+    assert (traj.sweeps, traj.seam_residual) == (1, 0.0)
+    with pytest.raises(NumericalFailureError, match="after 3 sweeps") as err:
+        characteristic_flow(s, CoSpherePoint(q[0], p[0]), 2.0, 1 / 64)
+    assert err.value.best_bound > geodesics._SEAM_TOL
 
 
 @pytest.mark.parametrize(
