@@ -12,9 +12,7 @@ girthlab is imported from the ``src/`` next to this script, so two source
 trees report the same numbers bit for bit exactly when the outputs of this
 script in each of them are identical.  Each line's elapsed wall seconds go
 to stderr as ``seed name seconds``, so stdout stays comparable while the
-same run gives per-experiment wall times.  Diameter is left out by default: on
-configs/maps_verify.json it runs 200 path pairs a side, about 30 s a seed on
-a 2-vCPU host, and about 40 s a seed over all four configs.
+same run gives per-experiment wall times.
 
 With ``--values`` each line is instead a JSON object ``{"seed", "name",
 "values"}`` holding the run's reported numbers by path: a workload's check
@@ -49,14 +47,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import girthlab  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-EXPERIMENTS = [e for e in girthlab.harness.EXPERIMENTS if e != "diameter"]
-
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     ap.add_argument(
-        "--experiments", nargs="*", default=EXPERIMENTS,
+        "--experiments", nargs="*", default=list(girthlab.harness.EXPERIMENTS),
         choices=girthlab.harness.EXPERIMENTS,
     )
     ap.add_argument("--values", action="store_true", help="print reported numbers as JSON lines")

@@ -28,11 +28,9 @@ from .geodesics import (  # noqa: F401
     GirthOptions,
     GirthResult,
     characteristic_flow,
-    diameter_probe,
     dual_girth,
     girth,
     length_spectrum_probe,
-    shortest_path_length,
 )
 from .maps import Phi, Psi, phi, psi, solve_line_sphere  # noqa: F401
 from .measures import (  # noqa: F401

@@ -1,11 +1,9 @@
 """Girth and geodesics on an embedded unit sphere.
 
-Girth, the length spectrum (both in the class of centrally symmetric
-closed curves) and the diameter probe minimize one discrete polygon energy
-with one continuation driver; the polygon's closure (centrally symmetric
-with half of the vertices stored, or with fixed endpoints) is a parameter
-of both.  Minimization happens on free ambient vectors that are radially
-rescaled onto the surface, so the constraint is exact, and is
+Girth and the length spectrum minimize one discrete polygon energy with one
+continuation driver, over centrally symmetric closed polygons of which half
+the vertices are stored.  Minimization happens on free ambient vectors that
+are radially rescaled onto the surface, so the constraint is exact, and is
 preconditioned by the inverse square root of the shifted chain Laplacian of
 the polygon's vertices, so its conditioning does not degrade as the vertex
 count grows.  Discrete curve *energy* (segment count times the sum of
@@ -84,24 +82,19 @@ class GirthResult:
 # ---------------------------------------------------------------------------
 # discrete energies
 #
-# A polygon is its free vertices plus a closure: "symmetric" wraps the last
-# vertex to the antipode of the first and counts the polygon as two halves,
-# and a pair (a, b) of surface points, one row per polygon, fixes both
-# endpoints.  Polygons come in stacks (B, n, dim) of one closure and vertex
-# count.
+# A polygon is its n free vertices, the first half of a centrally symmetric
+# closed polygon: the last vertex wraps to the antipode of the first, and the
+# polygon counts as two halves.  Polygons come in stacks (B, n, dim) of one
+# vertex count.
 
 
-def _chain(x: Array, closure) -> Array:
+def _chain(x: Array) -> Array:
     """The vertex chains whose successive differences are the chords."""
-    if closure == "symmetric":
-        return np.concatenate([x, -x[:, :1]], axis=1)
-    a, b = closure
-    return np.concatenate([a[:, None], x, b[:, None]], axis=1)
+    return np.concatenate([x, -x[:, :1]], axis=1)
 
 
-def _length(sphere: EmbeddedSphere, x: Array, closure) -> Array:
-    L = np.sum(sphere.body2.gauge(np.diff(_chain(x, closure), axis=1)), axis=-1)
-    return 2.0 * L if closure == "symmetric" else L
+def _length(sphere: EmbeddedSphere, x: Array) -> Array:
+    return 2.0 * np.sum(sphere.body2.gauge(np.diff(_chain(x), axis=1)), axis=-1)
 
 
 def _jet(body, x, order, warm, rows):
@@ -114,7 +107,7 @@ def _jet(body, x, order, warm, rows):
     return F, g, H
 
 
-def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure, warm=(None, None), rows=None):
+def _energy_and_grad(sphere: EmbeddedSphere, y: Array, warm=(None, None), rows=None):
     """Energies of the radially projected polygons and their gradients with
     respect to the free vertices y.  For a numeric-dual base and ambient,
     ``warm`` holds the gradient-inverse solutions at the vertices and at
@@ -125,21 +118,17 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, closure, warm=(None, None
     n = y.shape[1]
     F1, grad1, _ = _jet(body1, y, 1, warm[0], rows)
     x = y / F1[..., None]
-    c = np.diff(_chain(x, closure), axis=1)
+    c = np.diff(_chain(x), axis=1)
     Fc, gc, _ = _jet(body2, c, 1, warm[1], rows)
     Fgrad = Fc[..., None] * gc  # the gradient of 0.5 F^2
-    m = 2 * n if closure == "symmetric" else c.shape[1]
-    E = m * np.sum(Fc**2, axis=-1)
-    w = (2.0 * m) * Fgrad
-    gV = np.zeros((len(y), c.shape[1] + 1, y.shape[2]))
+    E = 2 * n * np.sum(Fc**2, axis=-1)
+    w = (4.0 * n) * Fgrad
+    gV = np.zeros((len(y), n + 1, y.shape[2]))
     gV[:, 1:] += w
     gV[:, :-1] -= w
-    # fold the closure row back onto the vertex it repeats
-    if closure == "symmetric":
-        g = gV[:, :n]
-        g[:, 0] -= gV[:, n]
-    else:
-        g = gV[:, 1:-1]
+    # fold the closing row, the antipode of the first vertex, back onto it
+    g = gV[:, :n]
+    g[:, 0] -= gV[:, n]
     # chain rule through the radial projection
     xg = np.einsum("bij,bij->bi", x, g)
     gy = (g - xg[..., None] * grad1) / F1[..., None]
@@ -312,9 +301,9 @@ def _symmetric_starts(sphere: EmbeddedSphere, N: int, count: int, seed) -> Array
     return project_to_surface(sphere.body1, np.stack(starts[:count]))
 
 
-def _upsample(x: Array, closure) -> Array:
+def _upsample(x: Array) -> Array:
     """Insert the midpoint between each free vertex and its successor."""
-    nxt = _chain(x, closure)[:, -x.shape[1] :]
+    nxt = _chain(x)[:, 1:]
     out = np.empty((x.shape[0], 2 * x.shape[1], x.shape[2]))
     out[:, 0::2] = x
     out[:, 1::2] = 0.5 * (x + nxt)
@@ -338,24 +327,25 @@ def _richardson(L: Array):
 _SHIFT = 0.1  # sigma of the preconditioner, the Laplacian's shift
 
 
-def _preconditioner(n: int, closure):
+def _preconditioner(n: int):
     """C = (L + sigma I)^(-1/2) and its inverse for n free vertices, both
     symmetric, from one eigendecomposition.  L is the chain Laplacian of the
-    closure: tridiagonal (2, -1), with corner entries +1 for the symmetric
-    closure, whose last chord runs from the last vertex to the antipode of
-    the first, and no corners for fixed endpoints.  Both L are positive
-    definite; the shift bounds the condition number of C by
+    symmetric polygon: tridiagonal (2, -1), with corner entries +1, as its
+    last chord runs from the last vertex to the antipode of the first.  L is
+    positive definite; the shift bounds the condition number of C by
     sqrt(4.1 / 0.1), about 6.4, at any n."""
     L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    if closure == "symmetric":
-        L[0, -1] = L[-1, 0] = 1.0
+    L[0, -1] = L[-1, 0] = 1.0
     w, V = np.linalg.eigh(L + _SHIFT * np.eye(n))
     root = np.sqrt(w)
     C, Cinv = (V / root) @ V.T, (V * root) @ V.T
     return 0.5 * (C + C.T), 0.5 * (Cinv + Cinv.T)
 
 
-def _continuation(sphere, x, closure, tol, maxiter, levels):
+_MAXITER = 4000  # L-BFGS iterations per problem and level
+
+
+def _continuation(sphere, x, tol, levels):
     """Minimize the energies of the surface polygons x (B, n, dim) together,
     doubling the vertex count at each further level.  Returns per polygon
     the extrapolated value and its error, the lengths (B, levels), the final
@@ -379,26 +369,23 @@ def _continuation(sphere, x, closure, tol, maxiter, levels):
     the quadratic model, so a problem runs alike alone and in a batch."""
     if levels < 1:
         raise PreconditionError("levels must be >= 1")
-    chords = 0 if closure == "symmetric" else 1  # chords beyond the free vertices
 
     def fun(z, rows):
-        ends = closure if isinstance(closure, str) else tuple(e[rows] for e in closure)
-        E, g = _energy_and_grad(sphere, C @ z, ends, warm, rows)
+        E, g = _energy_and_grad(sphere, C @ z, warm, rows)
         return E, C @ g
 
     lengths = []
     for lvl in range(levels):
         if lvl > 0:
-            x = project_to_surface(sphere.body1, _upsample(x, closure))
-        B, n, dim = x.shape
+            x = project_to_surface(sphere.body1, _upsample(x))
         warm = [
-            np.full((B, n + extra, dim), np.nan) if body.kind == "dual" else None
-            for body, extra in ((sphere.body1, 0), (sphere.body2, chords))
+            np.full(x.shape, np.nan) if body.kind == "dual" else None
+            for body in (sphere.body1, sphere.body2)
         ]
-        C, Cinv = _preconditioner(n, closure)
-        res = minimize(fun, Cinv @ x, tol, maxiter)
+        C, Cinv = _preconditioner(x.shape[1])
+        res = minimize(fun, Cinv @ x, tol, _MAXITER)
         x = project_to_surface(sphere.body1, C @ res.x)
-        lengths.append(_length(sphere, x, closure))
+        lengths.append(_length(sphere, x))
     lengths = np.stack(lengths, axis=-1)
     resid = np.linalg.norm((Cinv @ res.jac).reshape(len(x), -1), axis=1)
     return (*_richardson(lengths), lengths, x, resid)
@@ -420,9 +407,7 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
     instead, C times the former, whose condition number is at most 6.4."""
     opts = opts or GirthOptions()
     x0 = _symmetric_starts(sphere, opts.N, opts.starts, opts.seed)
-    value, err, lengths, x, resid = _continuation(
-        sphere, x0, "symmetric", opts.tol, 4000, opts.levels
-    )
+    value, err, lengths, x, resid = _continuation(sphere, x0, opts.tol, opts.levels)
     # starts that reach one geodesic tie to rounding, which must not pick
     # the certificate
     idx = int(np.argmax(value <= value.min() * (1.0 + _TIE)))
@@ -448,7 +433,7 @@ def dual_girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> G
 
 
 # ---------------------------------------------------------------------------
-# spectrum and diameter probes
+# spectrum probe
 
 
 def length_spectrum_probe(
@@ -470,75 +455,13 @@ def length_spectrum_probe(
     shrinks to a point under energy descent.
     """
     x0 = _symmetric_starts(sphere, N, k_starts, seed)
-    value, _, _, _, resid = _continuation(sphere, x0, "symmetric", 1e-11, 4000, levels)
+    value, _, _, _, resid = _continuation(sphere, x0, 1e-11, levels)
     found = sorted(value[resid <= 1e-5].tolist())
     clustered = []
     for v in found:
         if not clustered or v - clustered[-1] > 1e-4:
             clustered.append(v)
     return clustered
-
-
-def _slerp_arc(a: Array, b: Array, K: int, rng) -> Array:
-    ah = a / np.linalg.norm(a)
-    bh = b / np.linalg.norm(b)
-    dot = float(np.clip(ah @ bh, -1.0, 1.0))
-    if dot < -1.0 + 1e-10:
-        # near-antipodal: the half great circle through a random orthogonal w
-        w = rng.standard_normal(a.shape[0])
-        w -= (w @ ah) * ah
-        w /= np.linalg.norm(w)
-        return np.concatenate([_great_circle(ah, w, K), bh[None]])
-    ang = np.arccos(dot)
-    ts = np.linspace(0.0, 1.0, K + 1)
-    if ang < 1e-12:
-        return np.outer(np.ones(K + 1), ah)
-    s = np.sin(ang)
-    return (np.sin((1.0 - ts) * ang) / s)[:, None] * ah + (
-        np.sin(ts * ang) / s
-    )[:, None] * bh
-
-
-def _path_start(sphere: EmbeddedSphere, a: Array, b: Array, K: int, rng):
-    """Surface endpoints a, b and the K - 1 interior vertices of the
-    projected slerp arc between them."""
-    if K < 2:
-        raise PreconditionError(f"K must be >= 2, got {K}")
-    a = project_to_surface(sphere.body1, np.asarray(a, float))
-    b = project_to_surface(sphere.body1, np.asarray(b, float))
-    pts = project_to_surface(sphere.body1, _slerp_arc(a, b, K, rng))
-    return a, b, pts[1:-1]
-
-
-def _path_lengths(sphere: EmbeddedSphere, starts: list) -> Array:
-    """Chord-gauge lengths of locally shortest discrete paths (endpoints
-    fixed, interior vertices free) from a list of :func:`_path_start`s."""
-    a, b, x = (np.stack(part) for part in zip(*starts))
-    return _continuation(sphere, x, (a, b), 1e-10, 2000, 2)[2][:, -1]
-
-
-def shortest_path_length(sphere: EmbeddedSphere, a: Array, b: Array, K: int = 24) -> float:
-    """Chord-gauge length of a locally shortest discrete path from a to b
-    (endpoints fixed, interior vertices free): a lower bound for the induced
-    distance, 0.0 without a solve when the projected ends agree to 1e-12."""
-    start = _path_start(sphere, a, b, K, np.random.default_rng(0))
-    if np.linalg.norm(start[0] - start[1]) <= 1e-12 * np.linalg.norm(start[0]):
-        return 0.0
-    return float(_path_lengths(sphere, [start])[0])
-
-
-def diameter_probe(sphere: EmbeddedSphere, m_pairs: int, seed: int, K: int = 24) -> float:
-    """Max over sampled point pairs of the locally shortest path length; a
-    lower bound for the diameter that is monotone in m_pairs."""
-    if m_pairs < 1:
-        raise PreconditionError("m_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    dim = sphere.dim
-    starts = [
-        _path_start(sphere, rng.standard_normal(dim), rng.standard_normal(dim), K, rng)
-        for _ in range(m_pairs)
-    ]
-    return float(np.max(_path_lengths(sphere, starts)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .bodies import (
 from .errors import ConfigError, RejectedInputError
 from .geodesics import (
     GirthOptions,
-    diameter_probe,
     girth,
     length_spectrum_probe,
 )
@@ -107,7 +106,7 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         version = d.get("version", 1)
-        if version != 1:
+        if isinstance(version, bool) or version != 1:
             raise ConfigError(f"unsupported config version {version}")
         space = d.get("space")
         if not isinstance(space, dict) or "norm1" not in space:
@@ -428,15 +427,6 @@ def _maps_verify(config, sphere):
     return {"battery": battery}, checks
 
 
-def _diameter(config, sphere):
-    n = config.solver.samples
-    m = max(4, n if n <= 200 else 40)
-    seeds = (subseed(config.seed, 40), subseed(config.seed, 41))
-    dp, dd = _both_sides(sphere, lambda s, side: diameter_probe(s, m, seeds[side]))
-    results = {"diameter_lower_bound_primal": dp, "diameter_lower_bound_dual": dd}
-    return results, [_check("diameter_probe_completed", 0.0, 0.0)]
-
-
 # name -> (experiment, smallest ambient dimension it runs in)
 EXPERIMENTS = {
     "girth": (_girth, 3),
@@ -445,7 +435,6 @@ EXPERIMENTS = {
     "volume": (_volume, 3),
     "crofton": (_crofton, 3),
     "maps-verify": (_maps_verify, 2),
-    "diameter": (_diameter, 2),
 }
 
 

@@ -10,14 +10,12 @@ from girthlab import (
     PreconditionError,
     UnsupportedInputError,
     characteristic_flow,
-    diameter_probe,
     dual_girth,
     girth,
     induced_hamiltonian,
     length_spectrum_probe,
     make_ellipsoid,
     sample_cosphere,
-    shortest_path_length,
 )
 from girthlab import bodies, geodesics, harness, metric
 from girthlab.geodesics import (
@@ -28,10 +26,9 @@ from girthlab.geodesics import (
     _preconditioner,
     _random_circle,
     _richardson,
-    _slerp_arc,
     _symmetric_starts,
 )
-from girthlab.metric import CoSpherePoint, cosphere_lift, project_to_surface
+from girthlab.metric import CoSpherePoint, cosphere_lift
 
 from oracles import ellipse_perimeter, lbfgsb, per_row_flow
 
@@ -375,84 +372,24 @@ def test_flow_requires_finite_positive_T_and_dt(round_sphere, T, dt):
         lambda s: girth(s, GirthOptions(N=2, starts=1)),
         lambda s: length_spectrum_probe(s, 0, seed=0, N=8),
         lambda s: length_spectrum_probe(s, 1, seed=0, N=1),
-        lambda s: shortest_path_length(s, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], K=0),
-        lambda s: shortest_path_length(s, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], K=1),
-        lambda s: diameter_probe(s, 1, seed=0, K=1),
     ],
     ids=[
         "girth-starts-0",
         "girth-N-2",
         "spectrum-starts-0",
         "spectrum-N-1",
-        "path-K-0",
-        "path-K-1",
-        "diameter-K-1",
     ],
 )
 def test_degenerate_sizes_raise_precondition_errors(round_sphere, call):
-    # fewer than one start, 3 half points or 2 path segments leave nothing
-    # to minimize: a typed error up front, not a numpy error or a warning
+    # fewer than one start or 3 half points leave nothing to minimize: a
+    # typed error up front, not a numpy error or a warning
     with pytest.raises(PreconditionError):
         call(round_sphere)
 
 
-def test_shortest_path_between_nearby_points(round_sphere):
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([np.cos(0.5), np.sin(0.5), 0.0])
-    L = shortest_path_length(round_sphere, a, b, K=16)
-    assert L == pytest.approx(0.5, rel=1e-4)
-
-
-@pytest.mark.filterwarnings("error")
-def test_shortest_path_between_coincident_points(round_sphere):
-    # a path from a point to itself has only zero chords: no solve, no warning
-    a = np.array([1.0, 0.0, 0.0])
-    assert shortest_path_length(round_sphere, a, a) == 0.0
-
-
-@pytest.mark.filterwarnings("error")
-def test_shortest_path_between_endpoints_equal_up_to_rounding(euclid, pm_body):
-    # a and 3a project to points of pm4 that differ in the last bit: no
-    # solve on zero-length chords, no divide warning
-    sphere = EmbeddedSphere(pm_body, euclid)
-    a = np.array([1.0, 0.2, -0.3])
-    assert not np.array_equal(*project_to_surface(pm_body, np.stack([a, 3.0 * a])))
-    assert shortest_path_length(sphere, a, 3.0 * a) == 0.0
-
-
-def test_antipodal_start_is_a_half_great_circle():
-    a = np.array([2.0, 0.0, 0.0])
-    arc = _slerp_arc(a, -a, 12, np.random.default_rng(5))
-    assert arc.shape == (13, 3)
-    assert np.array_equal(arc[0], [1.0, 0.0, 0.0]) and np.array_equal(arc[-1], [-1.0, 0.0, 0.0])
-    np.testing.assert_allclose(np.linalg.norm(arc, axis=1), 1.0, rtol=0, atol=1e-15)
-    # one plane through the origin, equal steps of pi / 12
-    assert np.abs(arc @ np.cross(arc[0], arc[3])).max() <= 1e-15
-    steps = np.arccos(np.clip(np.einsum("ij,ij->i", arc[1:], arc[:-1]), -1.0, 1.0))
-    np.testing.assert_allclose(steps, np.pi / 12, rtol=1e-12)
-
-
-def test_shortest_path_between_antipodal_points(round_sphere, euclid, pm_body):
-    # K = 24 gives 23 free vertices, 46 after the one upsampling: the path is
-    # the 47-chord half circle, 94 sin(pi / 94), just below pi
-    a = np.array([1.0, 0.0, 0.0])
-    L = shortest_path_length(round_sphere, a, -a)
-    assert L == pytest.approx(94.0 * np.sin(np.pi / 94.0), rel=1e-12)
-    # pm4 in the Euclidean norm: the value the recursive two-arc start gave
-    b = np.array([1.0, 0.2, -0.3])
-    L = shortest_path_length(EmbeddedSphere(pm_body, euclid), b, -b)
-    assert L == pytest.approx(2.4006604515327754, rel=1e-11)
-
-
-def test_diameter_probe_round_sphere(round_sphere):
-    d = diameter_probe(round_sphere, 6, seed=0, K=16)
-    assert d <= np.pi * (1.0 + 1e-6)
-    assert d >= 1.0  # random pairs are rarely all close
-
-
 def symmetric_length(sphere, x):
     """Length of the centrally symmetric polygon on the half chain x."""
-    return float(_length(sphere, x[None], "symmetric")[0])
+    return float(_length(sphere, x[None])[0])
 
 
 def test_symmetric_length_definition(round_sphere):
@@ -473,37 +410,24 @@ def test_spectrum_probe_single_level(round_sphere):
 
 # the swapped sphere's ambient is the numeric dual of pm6, so its chords'
 # gauge and gradient come from the gradient inverse
-ENERGY_CASES = [
-    pytest.param(closure, swapped, id=closure + ("-swapped" if swapped else ""))
-    for swapped in (False, True)
-    for closure in ("symmetric", "path")
-]
-
-
-@pytest.mark.parametrize("closure, swapped", ENERGY_CASES)
-def test_energy_gradient_matches_finite_differences(closure, swapped, pm_body6, tilted_ellipsoid):
+@pytest.mark.parametrize("swapped", [False, True], ids=["symmetric", "symmetric-swapped"])
+def test_energy_gradient_matches_finite_differences(swapped, pm_body6, tilted_ellipsoid):
     sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
     if swapped:
         sphere = sphere.swapped()
     rng = np.random.default_rng(7)
-    if closure == "path":
-        a = project_to_surface(sphere.body1, np.array([1.0, 0.2, -0.3]))
-        b = project_to_surface(sphere.body1, np.array([-0.1, 1.0, 0.6]))
-        y = _slerp_arc(a, b, 9, rng)[1:-1]
-        closure = (a[None], b[None])
-    else:
-        y = _random_circle(rng, 3, 8)
+    y = _random_circle(rng, 3, 8)
     # a stack of one polygon
     y = (y + 0.05 * rng.standard_normal(y.shape))[None]
-    _, g = _energy_and_grad(sphere, y, closure)
+    _, g = _energy_and_grad(sphere, y)
     h = 1e-5
     fd = np.zeros_like(y)
     for idx in np.ndindex(*y.shape):
         step = np.zeros_like(y)
         step[idx] = h
         fd[idx] = (
-            _energy_and_grad(sphere, y + step, closure)[0][0]
-            - _energy_and_grad(sphere, y - step, closure)[0][0]
+            _energy_and_grad(sphere, y + step)[0][0]
+            - _energy_and_grad(sphere, y - step)[0][0]
         ) / (2.0 * h)
     assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(g)
 
@@ -561,7 +485,7 @@ def test_girth_start_in_a_batch_equals_the_start_alone(
     for i in [best] if swapped else range(opts.starts):
         calls.clear()
         value, err, lengths, x, resid = _continuation(
-            sphere, starts[i : i + 1], "symmetric", opts.tol, 4000, opts.levels
+            sphere, starts[i : i + 1], opts.tol, opts.levels
         )
         alone[i] = len(calls)
         if i == best:
@@ -616,17 +540,6 @@ def test_batched_solver_agrees_with_scipy_lbfgsb(
     for s in (sphere, sphere.swapped()):
         both(lambda: girth(s, opts).certificate["start_lengths"])
     both(lambda: length_spectrum_probe(round_sphere, 4, seed=0, N=16))
-    path_lengths = geodesics._path_lengths
-    pairs = []
-
-    def spy(*args):
-        pairs.append(path_lengths(*args))
-        return pairs[-1]
-
-    monkeypatch.setattr(geodesics, "_path_lengths", spy)
-    both(lambda: diameter_probe(round_sphere, 6, seed=0, K=16))
-    ours, ref = pairs
-    np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=0.0)
 
 
 def _counted_minimize(monkeypatch):
@@ -666,29 +579,20 @@ def test_first_order_residual_is_the_gradient_in_the_free_vertices(
     sphere = EmbeddedSphere(pm_body6, tilted_ellipsoid)
     res = girth(sphere, GirthOptions(N=16, starts=4, seed=0))
     last, idx = results[-1], res.certificate["start_index"]
-    C, _ = _preconditioner(last.x.shape[1], "symmetric")
-    _, gy = _energy_and_grad(sphere, C @ last.x, "symmetric")
+    C, _ = _preconditioner(last.x.shape[1])
+    _, gy = _energy_and_grad(sphere, C @ last.x)
     resid = res.certificate["first_order_residual"]
     assert np.linalg.norm(gy[idx]) == pytest.approx(resid, rel=1e-12)
     assert abs(np.linalg.norm(last.jac[idx]) - resid) > 1e-3 * resid
 
 
-@pytest.mark.parametrize(
-    "closure, n",
-    [("symmetric", 3), ("symmetric", 16), ("symmetric", 96)]
-    + [("path", 1), ("path", 23), ("path", 46)],
-)
-def test_preconditioner_is_the_inverse_root_of_the_shifted_laplacian(closure, n):
+@pytest.mark.parametrize("n", [3, 16, 96], ids=lambda n: f"symmetric-{n}")
+def test_preconditioner_is_the_inverse_root_of_the_shifted_laplacian(n):
     # L is the quadratic form of the chords' differences, D^T D, with the
-    # symmetric chain's last chord running to -x_0 and a path's first and
-    # last chords to fixed ends, which add nothing to the quadratic form
+    # symmetric chain's last chord running to -x_0
     eye = np.eye(n)
-    if closure == "symmetric":
-        D = np.concatenate([eye[1:], -eye[:1]]) - eye
-    else:
-        closure = (np.zeros((1, 3)), np.zeros((1, 3)))
-        D = np.concatenate([eye, np.zeros((1, n))]) - np.concatenate([np.zeros((1, n)), eye])
-    C, Cinv = _preconditioner(n, closure)
+    D = np.concatenate([eye[1:], -eye[:1]]) - eye
+    C, Cinv = _preconditioner(n)
     assert np.array_equal(C, C.T) and np.array_equal(Cinv, Cinv.T)
     A = D.T @ D + geodesics._SHIFT * eye
     np.testing.assert_allclose(C @ A @ C, eye, rtol=0, atol=1e-12)
@@ -707,7 +611,7 @@ def test_girth_takes_the_first_of_starts_tied_to_rounding(monkeypatch, pm_body6,
     v = res.certificate["start_lengths"]
     assert v[1] < v[0] <= v[1] * (1.0 + 1e-9)
     assert res.certificate["start_index"] == 0
-    value, err, lengths, xs, resid = _continuation(sphere, x, "symmetric", 1e-10, 4000, 3)
+    value, err, lengths, xs, resid = _continuation(sphere, x, 1e-10, 3)
     assert res.girth == value[0] == v[0]
     assert xs[0].tobytes() == res.curve.half_points.tobytes()
     assert (err[0], resid[0]) == (

@@ -46,11 +46,18 @@ def test_config_round_trip():
     assert cfg.to_dict()["space"]["dim"] == 3
 
 
-def test_config_rejects_unknown_experiment():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(make_config("frobnicate"))
+def test_config_rejects_unknown_experiment(tmp_path):
+    # "diameter" names no experiment: a config naming it is a config error
+    # and its subcommand is argparse's usage error
+    for name in ("frobnicate", "diameter"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(make_config(name))
     with pytest.raises(ConfigError, match="experiment must be one of"):
         ExperimentConfig.from_dict(make_config(["girth"]))
+    path = write_config(tmp_path, make_config("girth"))
+    with pytest.raises(SystemExit) as exc:
+        main(["diameter", "--config", path])
+    assert exc.value.code == 2
 
 
 def test_config_rejects_unknown_solver_keys():
@@ -58,11 +65,14 @@ def test_config_rejects_unknown_solver_keys():
         ExperimentConfig.from_dict(make_config("girth", solver={"NN": 8}))
 
 
-def test_config_rejects_bad_version():
-    d = make_config("girth")
-    d["version"] = 99
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(d)
+def test_config_rejects_bad_version(tmp_path, capsys):
+    # True == 1 in Python, but a boolean is no version
+    for version in (99, True):
+        d = make_config("girth")
+        d["version"] = version
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+        _assert_config_exit(tmp_path, capsys, d, "unsupported config version")
 
 
 def test_config_requires_norm1():
@@ -272,7 +282,6 @@ SMALL_SOLVERS = {
     "dual-check": {"N": 8, "starts": 3},
     "spectrum": {"N": 8, "starts": 1, "levels": 1},
     "volume": {},
-    "diameter": {"samples": 1},
 }
 
 
