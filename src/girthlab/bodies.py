@@ -389,13 +389,6 @@ def numeric_dual(body: GaugeBody) -> GaugeBody:
     )
 
 
-def half_sq_jet(body: GaugeBody, x: Array, hessian: bool = True):
-    """F, the gradient of 0.5 F^2 and, when ``hessian`` is true, the Hessian
-    of 0.5 F^2 (else None) at a batch of points, from one jet."""
-    F, g, H = body.jet(x, 2 if hessian else 1)
-    return F, F[..., None] * g, H
-
-
 def dual_body(body: GaugeBody) -> GaugeBody:
     """Dual body, using the closed form for ellipsoids and the numeric
     inverse otherwise."""

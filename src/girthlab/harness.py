@@ -177,7 +177,15 @@ class ExperimentConfig:
         }
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _matrix(name: str, value, dim: int) -> np.ndarray:
+    if _has_bool(value):  # True == 1 in Python, but a boolean is no number
+        raise ConfigError(f"{name} has a boolean entry")
     try:
         A = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -189,29 +197,37 @@ def _matrix(name: str, value, dim: int) -> np.ndarray:
     return A.reshape(dim, dim)
 
 
+# the keys each norm family reads besides ``type`` and ``label``
+_NORM_KEYS = {"ellipsoid": {"matrix"}, "power_mean": {"terms", "p"}}
+
+
 def body_from_spec(spec: dict, dim: int) -> GaugeBody:
     """Build a body from its config description (matrices row-major)."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("norm spec must be an object with a 'type' tag")
     kind = spec["type"]
+    if kind not in tuple(_NORM_KEYS):  # not the dict: a JSON value may be unhashable
+        raise ConfigError(f"unknown norm type {kind!r}")
+    bad = set(spec) - {"type", "label"} - _NORM_KEYS[kind]
+    if bad:
+        raise ConfigError(f"unknown {kind} keys: {sorted(bad)}")
+    label = spec.get("label")
+    if "label" in spec and not isinstance(label, str):
+        raise ConfigError(f"norm label must be a string, got {label!r}")
     try:
         if kind == "ellipsoid":
             A = _matrix("ellipsoid matrix", spec.get("matrix"), dim)
-            return make_ellipsoid(A, label=spec.get("label"))
-        if kind == "power_mean":
-            terms = spec.get("terms", [])
-            if not isinstance(terms, list):
-                raise ConfigError("power_mean terms must be a list of matrices")
-            mats = [_matrix("power_mean term", t, dim) for t in terms]
-            p = spec.get("p")
-            if p is None:
-                raise ConfigError("power_mean spec requires an exponent p")
-            return make_power_mean(
-                mats, _bounded_int("power_mean p", p, 2), label=spec.get("label")
-            )
+            return make_ellipsoid(A, label=label)
+        terms = spec.get("terms", [])
+        if not isinstance(terms, list):
+            raise ConfigError("power_mean terms must be a list of matrices")
+        mats = [_matrix("power_mean term", t, dim) for t in terms]
+        p = spec.get("p")
+        if p is None:
+            raise ConfigError("power_mean spec requires an exponent p")
+        return make_power_mean(mats, _bounded_int("power_mean p", p, 2), label=label)
     except RejectedInputError as exc:
         raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown norm type {kind!r}")
 
 
 @dataclass
@@ -232,10 +248,26 @@ class ExperimentReport:
         (config, seed, version); volatile timing is excluded."""
         d = self.to_dict()
         d.pop("wall_time_s")
-        return (json.dumps(d, sort_keys=True, indent=2) + "\n").encode()
+        return _strict_json(d).encode()
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _strict_json(self.to_dict())
+
+
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _strict_json(d: dict) -> str:
+    """RFC 8259 JSON: NaN and infinities are written as null."""
+    return json.dumps(_finite_or_null(d), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _check(name, value, tol):

@@ -196,6 +196,11 @@ def crofton_line_measure(
     the result is bit-identical to solving every line.  Kinds
     without a closed-form floor (a numeric dual, a generic body) get m = 0,
     and then every line is solved.
+
+    ``details["hit_fraction"]`` is the mean of J * hit over the samples, the
+    density-weighted mean the estimate is ``4 pi^2 R_Q^2`` times; it is not
+    the share of lines that hit M, which it matches only as far as the
+    density J averages 1.
     """
     if ambient.dim != 3:
         raise UnsupportedInputError("line measures are implemented for dimension 3")

@@ -10,7 +10,7 @@ ambient-space formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .bodies import (
     GaugeBody,
     _solve_gradient_inverse,
     dual_body,
-    half_sq_jet,
     tangent_basis,
 )
 from .errors import NumericalFailureError, PreconditionError
@@ -110,24 +109,13 @@ def _restrict(P: Array, q: Array, n: Array) -> Array:
     return P - np.einsum("...i,...i->...", P, q)[..., None] * n
 
 
-def _slope(dual: GaugeBody, xi: Array, n: Array) -> Array:
-    """t-derivative of 0.5 * Fdual(p + t n)^2 at xi = p + t n."""
-    _, g, _ = half_sq_jet(dual, xi, hessian=False)
-    return np.einsum("...i,...i->...", g, n)
-
-
-def _phi_derivatives(dual: GaugeBody, xi: Array, n: Array):
-    """First and second t-derivatives of 0.5 * Fdual(p + t n)^2 at xi = p + t n."""
-    _, g, H = half_sq_jet(dual, xi)
-    d1 = np.einsum("...i,...i->...", g, n)
-    d2 = np.einsum("...i,...ij,...j->...", n, H, n)
-    return d1, d2
-
-
-def _level_and_rate(dual: GaugeBody, xi: Array, n: Array):
-    """Fdual(p + t n) - 1 and its t-derivative at xi = p + t n."""
-    F, g, _ = half_sq_jet(dual, xi, hessian=False)
-    return F - 1.0, np.einsum("...i,...i->...", g, n) / F
+def _line_jet(dual: GaugeBody, xi: Array, n: Array, order: int):
+    """Fdual at xi = p + t n and, up to ``order``, the first and second
+    t-derivatives of 0.5 * Fdual(p + t n)^2 there (else None), from one jet."""
+    F, g, H = dual.jet(xi, order)
+    d1 = np.einsum("...i,...i->...", F[..., None] * g, n) if order else None
+    d2 = np.einsum("...i,...ij,...j->...", n, H, n) if order == 2 else None
+    return F, d1, d2
 
 
 def _expand_bracket(f, p: Array, n: Array, end: Array, step: Array, sign: float):
@@ -236,17 +224,20 @@ def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
         Bn = n @ dual.params["A"]
         t = -np.add.reduce(Bn * p, axis=-1) / np.add.reduce(Bn * n, axis=-1)
     else:
+        def slope(xi, n):
+            return _line_jet(dual, xi, n, 1)[1]
+
         scale = np.linalg.norm(p, axis=-1) / np.linalg.norm(n, axis=-1)
         # initial Newton step from t = 0, then a sign-change bracket of the
         # slope around it by expansion
-        t = -np.divide(*_phi_derivatives(dual, p, n))
+        t = -np.divide(*_line_jet(dual, p, n, 2)[1:])
         step = np.maximum(np.abs(t), scale)
         lo, hi = t - step, t + step
-        slope = partial(_slope, dual)
         _expand_bracket(slope, p, n, lo, step.copy(), -1.0)
         _expand_bracket(slope, p, n, hi, step, 1.0)
-        derivs = partial(_phi_derivatives, dual)
-        _safeguarded_newton(derivs, p, n, t, lo, hi, 1e-11, scale)
+        _safeguarded_newton(
+            lambda xi, n: _line_jet(dual, xi, n, 2)[1:], p, n, t, lo, hi, 1e-11, scale
+        )
     F, g, _ = dual.jet(p + t[:, None] * n, order)
     return t, F, g
 
@@ -256,8 +247,8 @@ def _section_line_minimum(primal: GaugeBody, p: Array, n: Array, order: int):
     dual of ``primal``: the section solve gives x with grad(0.5 F^2)(x) =
     p + t* n, so t* = <grad(0.5 F^2)(x) - p, n> / |n|^2."""
     x = _solve_gradient_inverse(primal, p, tangent_basis(n))
-    F, g, _ = half_sq_jet(primal, x, hessian=False)
-    t = np.einsum("...i,...i->...", g - p, n) / np.einsum("...i,...i->...", n, n)
+    F, g, _ = primal.jet(x, 1)
+    t = np.einsum("...i,...i->...", F[:, None] * g - p, n) / np.einsum("...i,...i->...", n, n)
     return t, F, x / F[:, None] if order else None
 
 
@@ -277,8 +268,12 @@ def line_exit_root(dual: GaugeBody, p: Array, n: Array, t0: Array) -> Array:
     hi = t0 + step
     _expand_bracket(lambda xi, _: dual.gauge(xi) - 1.0, p, n, hi, step, 1.0)
     t = 0.5 * (t0 + hi)
-    ones = np.ones(t.shape[0])
-    _safeguarded_newton(partial(_level_and_rate, dual), p, n, t, t0, hi, 1e-13, ones)
+
+    def level(xi, n):
+        F, d1, _ = _line_jet(dual, xi, n, 1)
+        return F - 1.0, d1 / F
+
+    _safeguarded_newton(level, p, n, t, t0, hi, 1e-13, np.ones(t.shape[0]))
     return t
 
 

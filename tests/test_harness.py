@@ -117,6 +117,48 @@ def test_nan_matrix_entry_is_config_error(tmp_path, capsys):
     _assert_config_exit(tmp_path, capsys, d, "ellipsoid matrix has a non-finite entry")
 
 
+@pytest.mark.parametrize("family", ["ellipsoid", "power_mean"])
+def test_boolean_matrix_entry_is_config_error(tmp_path, capsys, family):
+    # True == 1 in Python, but a boolean is no matrix entry
+    A = np.eye(3).tolist()
+    A[0][0] = True
+    if family == "ellipsoid":
+        norm1, start = {"type": "ellipsoid", "matrix": A}, "ellipsoid matrix has a boolean entry"
+    else:
+        norm1 = dict(PM, terms=[np.eye(3).tolist(), A])
+        start = "power_mean term has a boolean entry"
+    d = make_config("girth", norm1=norm1)
+    with pytest.raises(ConfigError, match="boolean entry"):
+        run(ExperimentConfig.from_dict(d))
+    _assert_config_exit(tmp_path, capsys, d, start)
+
+
+@pytest.mark.parametrize(
+    "norm1, start",
+    [
+        # an ellipsoid would otherwise run unscaled, as if the key were not there
+        (dict(EUCLID, scale=2), "unknown ellipsoid keys: ['scale']"),
+        (dict(PM, matrix=np.eye(3).tolist()), "unknown power_mean keys: ['matrix']"),
+        (dict(EUCLID, label=5), "norm label must be a string, got 5"),
+        (dict(EUCLID, label=[1]), "norm label must be a string, got [1]"),
+        (dict(PM, label=None), "norm label must be a string, got None"),
+        # the type is checked first
+        ({"type": "simplex", "scale": 2}, "unknown norm type 'simplex'"),
+    ],
+    ids=["ellipsoid-scale", "power_mean-matrix", "label-int", "label-list", "label-null", "type"],
+)
+def test_norm_spec_keys_and_label_are_checked(tmp_path, capsys, norm1, start):
+    d = make_config("girth", norm1=norm1)
+    with pytest.raises(ConfigError):
+        run(ExperimentConfig.from_dict(d))
+    _assert_config_exit(tmp_path, capsys, d, start)
+
+
+def test_norm_label_is_reported():
+    rep = run(ExperimentConfig.from_dict(make_config("volume", norm1=dict(AN_E, label="e-086"))))
+    assert rep.certificates["norm1"]["label"] == "e-086"
+
+
 def test_indefinite_matrix_is_config_error(tmp_path, capsys):
     indefinite = {"type": "ellipsoid", "matrix": np.diag([1.0, -1.0, 1.0]).tolist()}
     d = make_config("girth", norm1=indefinite)
@@ -312,6 +354,32 @@ def test_spectrum_fails_when_a_side_finds_no_geodesic(monkeypatch, empty_side):
     check = rep.checks[-1]
     assert check["name"] == "spectrum_match" and check["value"] == np.inf
     assert not check["passed"] and not rep.passed
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json(monkeypatch):
+    # a single-level girth has no Richardson error (NaN), and a spectrum side
+    # that finds no geodesic has an infinite mismatch: both are written as
+    # null, while the report in memory keeps them
+    solver = {"N": 8, "starts": 2, "levels": 1}
+    girth = run(ExperimentConfig.from_dict(make_config("girth", solver=solver)))
+    assert np.isnan(girth.results["certificate"]["richardson_error"])
+    monkeypatch.setattr(harness, "length_spectrum_probe", lambda *a, **kw: [])
+    spectrum = run(ExperimentConfig.from_dict(make_config("spectrum", solver={"N": 8})))
+    assert spectrum.checks[-1]["value"] == np.inf and not spectrum.passed
+    nan_path = ("results", "certificate", "richardson_error")
+    for rep, path in ((girth, nan_path), (spectrum, ("checks", -1, "value"))):
+        for text in (rep.to_json(), rep.canonical_bytes().decode()):
+            d = _strict_loads(text)
+            for key in path:
+                d = d[key]
+            assert d is None
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ from girthlab import (
     sample_cosphere,
 )
 from girthlab import bodies, metric
-from girthlab.bodies import half_sq_jet, numeric_dual
+from girthlab.bodies import numeric_dual
 from girthlab.metric import (
+    _line_jet,
     _line_minimum,
     _safeguarded_newton,
     conormal,
@@ -310,17 +311,20 @@ def test_line_exit_root_raises_when_unconverged(aniso_ellipsoid):
         line_exit_root(broken, p, n, np.zeros(1))
 
 
-@pytest.mark.parametrize("which", ["numeric_dual", "power_mean"])
-def test_half_sq_jet_matches_evaluators(which, pm_body):
-    body = dual_body(pm_body) if which == "numeric_dual" else pm_body
-    x = np.random.default_rng(2).standard_normal((30, 3))
-    F, g, H = half_sq_jet(body, x)
-    np.testing.assert_allclose(F, body.gauge(x), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(g, body.gauge(x)[:, None] * body.gradient(x), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(H, body.hessian_half_sq(x), rtol=0, atol=1e-13)
-    # skipping the Hessian leaves F and the gradient bit for bit as they were
-    F1, g1, H1 = half_sq_jet(body, x, hessian=False)
-    assert H1 is None and F1.tobytes() == F.tobytes() and g1.tobytes() == g.tobytes()
+def test_line_jet_matches_differences_along_the_line(chart_body):
+    # F and the t-derivatives of 0.5 F(p + t n)^2 at xi = p + t n; a lower
+    # order leaves the values it shares with a higher one bit for bit
+    r = np.random.default_rng(13)
+    xi, n = r.standard_normal((2, 30, 3))
+    F1, d1, none = _line_jet(chart_body, xi, n, 1)
+    F, D1, D2 = _line_jet(chart_body, xi, n, 2)
+    assert none is None and F1.tobytes() == F.tobytes() and d1.tobytes() == D1.tobytes()
+    np.testing.assert_array_equal(F, chart_body.gauge(xi))
+    h = 1e-5
+    Fp, d1p, _ = _line_jet(chart_body, xi + h * n, n, 1)
+    Fm, d1m, _ = _line_jet(chart_body, xi - h * n, n, 1)
+    np.testing.assert_allclose((Fp**2 - Fm**2) / (4.0 * h), D1, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose((d1p - d1m) / (2.0 * h), D2, rtol=1e-7, atol=1e-9)
 
 
 def test_round_hamiltonian_is_tangent_norm(round_sphere):

@@ -1,8 +1,10 @@
 """The benchmark's tracer (perfbench/spans.py) wraps girthlab functions and
-GaugeBody evaluator fields by name.  A refactor that renames or deletes one
-would only show up as a crash in the traced benchmark run; this test reads
-the names the tracer uses and checks that girthlab still binds each."""
+GaugeBody evaluator fields by name, and its workloads (perfbench/workloads.py)
+call girthlab by name.  A refactor that renames or deletes one would only
+show up as a crash in the benchmark run; these tests read the names the
+benchmark uses and check that girthlab still binds each."""
 
+import ast
 import dataclasses
 import importlib.util
 from pathlib import Path
@@ -13,6 +15,7 @@ import girthlab
 from girthlab import GaugeBody, GirthOptions
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 def _spans():
@@ -38,6 +41,40 @@ def test_traced_names_are_bound_in_girthlab():
     assert not missing, f"traced functions no longer bound: {missing}"
     fields = {f.name for f in dataclasses.fields(GaugeBody)}
     assert set(spans.EVALUATORS) <= fields
+
+
+def _gl_chains(tree):
+    """Every maximal attribute chain ``gl.a.b...`` in a syntax tree, as
+    ("a", "b", ...)."""
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "gl":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_workload_names_are_bound_in_girthlab():
+    # the workloads receive girthlab as ``gl``
+    chains = _gl_chains(ast.parse(WORKLOADS.read_text()))
+    assert ("harness", "subseed") in chains and ("trajectory_action",) in chains
+
+    def bound(chain):
+        obj = girthlab
+        for name in chain:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+
+    missing = [".".join(chain) for chain in sorted(chains) if not bound(chain)]
+    assert not missing, f"names the benchmark workloads use are not bound: {missing}"
 
 
 def test_experiments_are_harness_functions():
