@@ -333,15 +333,18 @@ def dual_gauge(body: GaugeBody, xi: Array) -> Array:
 def legendre(body: GaugeBody, q: Array) -> Array:
     """Supporting covector xi with <xi, q> = 1 at a point q on the unit surface."""
     Fq, g, _ = body.jet(np.asarray(q, dtype=float), 1)
-    if np.any(np.abs(Fq - 1.0) > 1e-9):
+    if not np.all(np.abs(Fq - 1.0) <= 1e-9):  # NaN points fail too
         raise PreconditionError("legendre requires points on the unit surface")
     return g
 
 
 def legendre_inverse(body: GaugeBody, xi: Array) -> Array:
     """Point q on the unit surface maximizing <xi, .>, for xi with F*(xi) = 1."""
-    Fs, q, _ = numeric_dual(body).jet(np.asarray(xi, dtype=float), 1)
-    if np.any(np.abs(Fs - 1.0) > 1e-8):
+    xi = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi).all():  # before the dual solve, which fails on them
+        raise PreconditionError("legendre_inverse requires finite covectors")
+    Fs, q, _ = numeric_dual(body).jet(xi, 1)
+    if not np.all(np.abs(Fs - 1.0) <= 1e-8):
         raise PreconditionError("legendre_inverse requires F*(xi) = 1")
     return q
 

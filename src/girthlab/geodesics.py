@@ -537,7 +537,7 @@ def characteristic_flow(
     q = np.asarray(start.q, dtype=float)
     p = np.asarray(start.p, dtype=float)
     G0 = float(induced_hamiltonian(sphere, q, p))
-    if abs(G0 - 1.0) > 1e-8:
+    if not abs(G0 - 1.0) <= 1e-8:  # a NaN start fails too
         raise PreconditionError("start must lie on the unit co-sphere")
     n_steps = int(np.ceil(T / dt))
     h = T / n_steps

@@ -21,7 +21,6 @@ from .metric import (
     EmbeddedSphere,
     _line_minimum,
     _restrict,
-    as_rows,
     conormal,
     line_exit_root,
     minimize_along_conormal,
@@ -35,9 +34,9 @@ _BOUNDARY_BAND = 1e-8
 @dataclass
 class LineSphereSolution:
     """Roots t_minus <= t_plus of each conormal line, their points, and
-    whether the line is tangent (both roots at the line minimum).  Fields
-    are arrays over the rows of a batch, or scalars and vectors for a
-    single (q, p)."""
+    whether the line is tangent (both roots at the line minimum).  For
+    (q, p) of shape (..., dim) the roots and ``tangent`` have shape (...)
+    and the points (..., dim): scalars and vectors for a single (q, p)."""
 
     t_minus: Array
     t_plus: Array
@@ -48,19 +47,20 @@ class LineSphereSolution:
 
 def solve_line_sphere(sphere: EmbeddedSphere, q: Array, p: Array) -> LineSphereSolution:
     """Both intersections of each conormal line {p + t n_q} with the dual
-    ambient unit surface.  Batched: (q, p) of shape (m, dim) or (dim,).
+    ambient unit surface.  Batched: (q, p) of shape (..., dim).
 
-    Both roots of every row come from one exit-root solve, the row with n
-    giving t_plus and the row with -n giving -t_minus.  Raises
-    :class:`NoIntersectionError` when a line misses the surface.
+    Both roots of every line that cuts the surface come from one exit-root
+    solve on rows, the row with n giving t_plus and the row with -n giving
+    -t_minus.  Raises :class:`NoIntersectionError` when a line misses the
+    surface.
     """
-    q, p, single = as_rows(q, p)
+    p = np.asarray(p, dtype=float)
     n = conormal(sphere, q)
     t_star, G = minimize_along_conormal(sphere.dual2, p, n)
     if np.any(G > 1.0 + _BOUNDARY_BAND):
         raise NoIntersectionError(f"conormal line misses the dual surface (G={np.max(G)})")
     tangent = G >= 1.0 - _BOUNDARY_BAND
-    t_minus, t_plus = t_star.copy(), t_star.copy()
+    t_minus, t_plus = np.array(t_star), np.array(t_star)
     cut = ~tangent  # lines that cut the surface twice; tangent ones keep t_star
     pc, nc, tc = p[cut], n[cut], t_star[cut]
     s = line_exit_root(
@@ -70,38 +70,36 @@ def solve_line_sphere(sphere: EmbeddedSphere, q: Array, p: Array) -> LineSphereS
         np.concatenate([tc, -tc]),
     )
     t_plus[cut], t_minus[cut] = s[: tc.size], -s[tc.size :]
-    fields = (t_minus, t_plus, tangent, p + t_minus[:, None] * n, p + t_plus[:, None] * n)
-    return LineSphereSolution(*(a[0] if single else a for a in fields))
+    return LineSphereSolution(
+        t_minus[()], t_plus[()], tangent, p + t_minus[..., None] * n, p + t_plus[..., None] * n
+    )
 
 
 def phi(sphere: EmbeddedSphere, q: Array, p: Array):
     """Boundary map: tangency point of the conormal line and the transposed
     restriction.  Requires (q, p) on the co-sphere.  Batched: (q, p) of
-    shape (m, dim) or (dim,)."""
-    q, p, single = as_rows(q, p)
+    shape (..., dim) give (P, Q) of the same shape."""
     n = conormal(sphere, q)
     t_star, G, m = _line_minimum(sphere.dual2, p, n, 1)
-    if np.any(np.abs(G - 1.0) > _BOUNDARY_BAND):
+    if not np.all(np.abs(G - 1.0) <= _BOUNDARY_BAND):  # NaN points fail too
         raise PreconditionError("phi requires co-sphere points (G = 1)")
-    P = p + t_star[:, None] * n
+    P = p + t_star[..., None] * n
     Q = _restrict(q, P, m)  # q on the tangent plane of the dual ambient at P
-    return (P[0], Q[0]) if single else (P, Q)
+    return P, Q
 
 
 def Phi(sphere: EmbeddedSphere, q: Array, p: Array):
     """Interior map: the intersection point selected by the orientation rule
     (the root where the dual gauge increases along the line), with the
     transposed restriction.  Requires (q, p) strictly inside the co-disc.
-    Batched: (q, p) of shape (m, dim) or (dim,)."""
-    q, p, single = as_rows(q, p)
+    Batched: (q, p) of shape (..., dim) give (P, Q) of the same shape."""
     sol = solve_line_sphere(sphere, q, p)
     if np.any(sol.tangent):
         raise IllConditionedInputError(
             "input lies in the boundary band; use phi for co-sphere points"
         )
     P = sol.P_plus  # exit root: d/dt Fdual > 0 there
-    Q = _restrict(q, P, sphere.dual2.gradient(P))
-    return (P[0], Q[0]) if single else (P, Q)
+    return P, _restrict(q, P, sphere.dual2.gradient(P))
 
 
 def _require_symmetric(sphere: EmbeddedSphere):

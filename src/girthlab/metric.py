@@ -77,22 +77,11 @@ def radial_chart(body: GaugeBody, x: Array, *dx: Array) -> tuple:
     return (x / F[..., None], g, *dq)
 
 
-def as_rows(a: Array, b: Array):
-    """Two float arrays as row batches, and whether ``a`` was one vector:
-    a single vector (with its partner) is treated as a batch of one."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    single = a.ndim == 1
-    if single:
-        a, b = a[None], b[None]
-    return a, b, single
-
-
 def conormal(sphere: EmbeddedSphere, q: Array) -> Array:
     """Covector spanning the annihilator of the tangent plane at q, scaled so
     that <n_q, q> = 1, from the one jet that also checks q is on the surface."""
     F, g, _ = sphere.body1.jet(q, 1)
-    if np.any(np.abs(F - 1.0) > 1e-8):
+    if not np.all(np.abs(F - 1.0) <= 1e-8):  # NaN points fail too
         raise PreconditionError("point is not on the unit surface")
     return g
 
@@ -192,11 +181,17 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     Iterative routes evaluate only the entries that have not yet
     converged.  Entries with p = 0 short-circuit to t = 0 and value 0, with
     a NaN gradient.  Every route is row-independent, so the result does not
-    depend on the batch an entry shares.  ``p`` and ``n`` are (m, dim) rows
-    or one (dim,) vector, a batch of one whose results come back unbatched:
-    t* and F* as scalars, grad F* as a vector.
+    depend on the batch an entry shares.
+
+    ``p`` and ``n`` share one shape (..., dim).  This is the one place that
+    flattens points to (m, dim) rows: t* and F* come back in the leading
+    shape (...) and grad F* in (..., dim), so one (dim,) vector gives t*
+    and F* as numpy scalars and grad F* as a vector.
     """
-    p, n, single = as_rows(p, n)
+    p = np.asarray(p, dtype=float)
+    shape = p.shape[:-1]
+    p = p.reshape(-1, p.shape[-1])
+    n = np.asarray(n, dtype=float).reshape(p.shape)
     live = np.add.reduce(p * p, axis=-1) != 0.0  # NaN rows are live
     if live.size and live.all():
         out = _live_line_minimum(dual, p, n, order)
@@ -210,10 +205,9 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
             t[live], val[live], g = _live_line_minimum(dual, p[live], n[live], order)
             if order:
                 grad[live] = g
-    if single:
-        t, val, grad = out
-        return t[0], val[0], None if grad is None else grad[0]
-    return out
+    t, val, grad = out
+    grad = None if grad is None else grad.reshape(shape + p.shape[-1:])
+    return t.reshape(shape)[()], val.reshape(shape)[()], grad
 
 
 def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
@@ -253,7 +247,8 @@ def _section_line_minimum(primal: GaugeBody, p: Array, n: Array, order: int):
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array):
-    """Batched minimizer of t -> Fdual(p + t n): returns (t_star, value).
+    """Batched minimizer of t -> Fdual(p + t n): returns (t_star, value),
+    each in the leading shape (...) of ``p`` and ``n`` of shape (..., dim).
 
     See :func:`_line_minimum`; entries with p = 0 give t = 0 and value 0.
     """
@@ -281,13 +276,13 @@ def induced_hamiltonian(sphere: EmbeddedSphere, q: Array, p: Array):
     """Gauge of the fiber shadow: G(q, p) = min_t Fdual2(p + t n_q).
 
     Positively 1-homogeneous in p; G <= 1 exactly on the co-disc fiber.
-    Accepts batched (q, p) with matching leading shape.
+    (q, p) of shape (..., dim) give G of shape (...), a scalar for one point.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = conormal(sphere, q)
     dot = np.einsum("...i,...i->...", p, q)
-    if np.any(np.abs(dot) > 1e-8 * (1.0 + np.linalg.norm(p, axis=-1))):
+    if not np.all(np.abs(dot) <= 1e-8 * (1.0 + np.linalg.norm(p, axis=-1))):
         raise PreconditionError("covector must be canonical: <p, q> = 0")
     _, val = minimize_along_conormal(sphere.dual2, p, n)
     return val

@@ -214,3 +214,42 @@ def test_action_preserved_on_closed_loop(spheres):
         BP, BQ = phi(s, q, p)
         a2 = action(BP[::-1], BQ[::-1], closed=True)
         assert abs(a2 - a0) <= 1e-5 * abs(a0)
+
+
+_SHAPES = [(), (10,), (2, 5)]
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=["single", "rows", "2x5"])
+@pytest.mark.parametrize("route", ["closed_form", "section", "newton"])
+def test_maps_take_any_leading_shape(route, shape, aniso_ellipsoid, pm_body, pm_body6, tilted_ellipsoid):
+    # (q, p) of shape (..., dim) give each entry the bits of the same call
+    # on the flattened rows, on each route of the conormal line minimum:
+    # an ellipsoid dual (closed form), the numeric dual of pm4 (primal
+    # section) and pm4 itself as the dual (safeguarded Newton); a single
+    # point gives numpy scalars where the rows give arrays
+    s = {
+        "closed_form": EmbeddedSphere(pm_body6, tilted_ellipsoid),
+        "section": EmbeddedSphere(aniso_ellipsoid, pm_body),
+        "newton": EmbeddedSphere(aniso_ellipsoid, bodies.dual_body(pm_body)),
+    }[route]
+    m = int(np.prod(shape))
+    q, p = sample_cosphere(s, m, np.random.default_rng(16))
+    inner = p * np.random.default_rng(17).uniform(0.1, 0.9, size=(m, 1))
+    maps = {
+        "induced_hamiltonian": lambda q, p, _: (induced_hamiltonian(s, q, p),),
+        "minimize_along_conormal": lambda q, p, _: minimize_along_conormal(
+            s.dual2, p, conormal(s, q)
+        ),
+        "solve_line_sphere": lambda q, _, c: tuple(vars(solve_line_sphere(s, q, c)).values()),
+        "phi": lambda q, p, _: phi(s, q, p),
+        "psi": lambda q, p, _: psi(s, q, p),
+        "Phi": lambda q, _, c: Phi(s, q, c),
+        "Psi": lambda q, _, c: Psi(s, q, c),
+    }
+    shaped = [a.reshape(shape + (3,)) for a in (q, p, inner)]
+    for name, f in maps.items():
+        for row, out in zip(f(q, p, inner), f(*shaped)):
+            assert np.shape(out) == shape + row.shape[1:], name
+            assert np.asarray(out).tobytes() == row.tobytes(), name
+            if not shape:
+                assert type(out) is type(row[0]), name

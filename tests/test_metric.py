@@ -18,12 +18,15 @@ from girthlab import (
     restrict_covector,
     sample_cosphere,
 )
-from girthlab import bodies, metric
-from girthlab.bodies import numeric_dual
+from girthlab import bodies, geodesics, metric
+from girthlab.bodies import legendre, legendre_inverse, numeric_dual
+from girthlab.geodesics import characteristic_flow
+from girthlab.maps import phi
 from girthlab.metric import (
     _line_jet,
     _line_minimum,
     _safeguarded_newton,
+    CoSpherePoint,
     conormal,
     line_exit_root,
     minimize_along_conormal,
@@ -135,6 +138,34 @@ def _conormal_lines(body1, m, seed):
     s = EmbeddedSphere(body1, body1)
     q = project_to_surface(body1, r.standard_normal((m, 3)))
     return restrict_covector(s, r.standard_normal((m, 3)), q), conormal(s, q)
+
+
+_NAN_SITES = ["conormal", "legendre", "legendre_inverse", "induced_hamiltonian", "phi", "flow"]
+
+
+@pytest.mark.parametrize("site", _NAN_SITES)
+def test_nan_input_raises_precondition_error(site, monkeypatch, pm_body):
+    # each precondition check fails a NaN point or covector (NaN > tol is
+    # False, so a check written as any(err > tol) would let it through);
+    # pm4 in e-amb, as in the crofton workload
+    s = EmbeddedSphere(pm_body, make_ellipsoid(np.diag([1.0, 1.4, 0.7])))
+    q, p = sample_cosphere(s, 1, np.random.default_rng(18))
+    q, p, nan = q[0], p[0], np.full(3, np.nan)
+    if site == "flow":
+        with pytest.raises(PreconditionError):
+            characteristic_flow(s, CoSpherePoint(q, nan), 1.0, 0.1)
+        # the flow's own start check, reached with a NaN level
+        monkeypatch.setattr(geodesics, "induced_hamiltonian", lambda *_: np.nan)
+    calls = {
+        "conormal": lambda: conormal(s, nan),
+        "legendre": lambda: legendre(pm_body, nan),
+        "legendre_inverse": lambda: legendre_inverse(pm_body, nan),
+        "induced_hamiltonian": lambda: induced_hamiltonian(s, q, nan),
+        "phi": lambda: phi(s, q, nan),
+        "flow": lambda: characteristic_flow(s, CoSpherePoint(q, p), 1.0, 0.1),
+    }
+    with pytest.raises(PreconditionError):
+        calls[site]()
 
 
 @pytest.mark.parametrize("which", ["numeric_dual", "power_mean", "ellipsoid"])
