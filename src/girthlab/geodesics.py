@@ -418,7 +418,6 @@ def girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> GirthR
         "start_index": idx,
         "start_lengths": value.tolist(),
         "n_half_final": x.shape[1],
-        "certified": bool(resid[idx] <= max(opts.tol * 100.0, 1e-6)),
     }
     return GirthResult(
         girth=float(value[idx]), curve=DiscreteSymmetricCurve(x[idx]), certificate=cert
@@ -436,26 +435,22 @@ def dual_girth(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None) -> G
 # spectrum probe
 
 
-def length_spectrum_probe(
-    sphere: EmbeddedSphere,
-    k_starts: int,
-    seed: int,
-    N: int = 24,
-    levels: int = 3,
-):
+def length_spectrum_probe(sphere: EmbeddedSphere, opts: Optional[GirthOptions] = None):
     """Sorted distinct lengths of centrally symmetric closed geodesics found
     by multi-start refinement.  A probe: it reports what it found, never
     completeness.
 
-    ``k_starts`` symmetric starts of N half points (coordinate great circles,
+    The solve is that of :func:`girth` with the same options: ``opts.starts``
+    symmetric starts of ``opts.N`` half points (coordinate great circles,
     then random ones) are refined in the symmetric class, the class of the
     girth; a refined polygon counts when its final gradient norm is at most
     1e-5, and lengths within 1e-4 of a smaller one are dropped.  Free closed
     loops are not searched: on a sphere every one is contractible and
     shrinks to a point under energy descent.
     """
-    x0 = _symmetric_starts(sphere, N, k_starts, seed)
-    value, _, _, _, resid = _continuation(sphere, x0, 1e-11, levels)
+    opts = opts or GirthOptions()
+    x0 = _symmetric_starts(sphere, opts.N, opts.starts, opts.seed)
+    value, _, _, _, resid = _continuation(sphere, x0, opts.tol, opts.levels)
     found = sorted(value[resid <= 1e-5].tolist())
     clustered = []
     for v in found:

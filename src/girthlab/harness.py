@@ -119,9 +119,9 @@ class ExperimentConfig:
         names = tuple(EXPERIMENTS)  # not the dict: a JSON value may be unhashable
         if experiment not in names:
             raise ConfigError(f"experiment must be one of {names}")
-        min_dim = EXPERIMENTS[experiment][1]
-        if dim < min_dim:
-            raise ConfigError(f"{experiment} requires dim >= {min_dim}")
+        lo, hi = EXPERIMENTS[experiment][1]
+        if not lo <= dim <= hi:
+            raise ConfigError(f"{experiment} requires dim {'=' if lo == hi else '>='} {lo}")
         solver_d = d.get("solver", {})
         if not isinstance(solver_d, dict):
             raise ConfigError("solver must be an object")
@@ -255,11 +255,14 @@ class ExperimentReport:
 
 
 def _finite_or_null(obj):
-    """``obj`` with each non-finite float replaced by None (JSON null)."""
+    """``obj`` with numpy arrays and scalars made Python lists and numbers,
+    and each non-finite float replaced by None (JSON null)."""
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _finite_or_null(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -277,20 +280,6 @@ def _check(name, value, tol):
         "tolerance": float(tol),
         "passed": bool(value <= tol),
     }
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +353,12 @@ def run_maps_battery(sphere: EmbeddedSphere, n_samples: int, seed: int) -> dict:
 # experiments: each takes (config, sphere) and returns (results, checks)
 
 
-def _girth_opts(config: ExperimentConfig) -> GirthOptions:
+def _girth_opts(config: ExperimentConfig, key: int = 10) -> GirthOptions:
+    """The polygon solver's options: the config's solver knobs, seeded by
+    the sub-seed ``key``."""
     s = config.solver
     return GirthOptions(
-        N=s.N, starts=s.starts, seed=subseed(config.seed, 10), tol=s.tol, levels=s.levels
+        N=s.N, starts=s.starts, seed=subseed(config.seed, key), tol=s.tol, levels=s.levels
     )
 
 
@@ -399,12 +390,8 @@ def _dual_check(config, sphere):
 
 
 def _spectrum(config, sphere):
-    opts = config.solver
     sp, sd = _both_sides(
-        sphere,
-        lambda s, side: length_spectrum_probe(
-            s, opts.starts, subseed(config.seed, 20 + side), N=opts.N, levels=opts.levels
-        ),
+        sphere, lambda s, side: length_spectrum_probe(s, _girth_opts(config, 20 + side))
     )
     # a side that found no geodesic matches nothing
     mismatch = np.inf
@@ -416,7 +403,7 @@ def _spectrum(config, sphere):
 
 
 def _volume(config, sphere):
-    v1, v2 = _both_sides(sphere, lambda s, side: ht_volume(s, seed=config.seed))
+    v1, v2 = _both_sides(sphere, lambda s, side: ht_volume(s))
     rel = abs(v1.value - v2.value) / v1.value
     results = {"volume_primal": asdict(v1), "volume_dual": asdict(v2), "relative_gap": rel}
     return results, [_check("volume_equality", rel, config.tolerances["volume_rel"])]
@@ -427,7 +414,7 @@ def _crofton(config, sphere):
     rep = crofton_line_measure(
         sphere.body2, sphere.body1, config.solver.samples, subseed(config.seed, 30)
     )
-    vol = ht_volume(sphere, seed=config.seed)
+    vol = ht_volume(sphere)
     ratio = rep.value / (vol.value * np.pi)
     check = _check("crofton_identity", abs(ratio - 1.0), config.tolerances["crofton_rel"])
     results = {"line_measure": asdict(rep), "ht_volume": asdict(vol), "ratio": ratio}
@@ -459,14 +446,14 @@ def _maps_verify(config, sphere):
     return {"battery": battery}, checks
 
 
-# name -> (experiment, smallest ambient dimension it runs in)
+# name -> (experiment, (smallest, largest) ambient dimension it runs in)
 EXPERIMENTS = {
-    "girth": (_girth, 3),
-    "dual-check": (_dual_check, 3),
-    "spectrum": (_spectrum, 3),
-    "volume": (_volume, 3),
-    "crofton": (_crofton, 3),
-    "maps-verify": (_maps_verify, 2),
+    "girth": (_girth, (3, math.inf)),
+    "dual-check": (_dual_check, (3, math.inf)),
+    "spectrum": (_spectrum, (3, math.inf)),
+    "volume": (_volume, (3, 3)),
+    "crofton": (_crofton, (3, 3)),
+    "maps-verify": (_maps_verify, (2, math.inf)),
 }
 
 
@@ -500,10 +487,10 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     checks += more
     passed = all(c["passed"] for c in checks)
     return ExperimentReport(
-        config=_sanitize(config.to_dict()),
-        results=_sanitize(results),
-        certificates=_sanitize(certificates),
-        checks=_sanitize(checks),
+        config=config.to_dict(),
+        results=results,
+        certificates=certificates,
+        checks=checks,
         passed=passed,
         version=__version__,
         wall_time_s=time.perf_counter() - t0,

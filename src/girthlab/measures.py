@@ -12,7 +12,9 @@ and against a dense scan of the section.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +30,7 @@ class VolumeReport:
     value: float
     method: str
     samples: int
-    seed: int
+    seed: Optional[int]
     error_estimate: float
     details: dict = field(default_factory=dict)
 
@@ -120,10 +122,11 @@ def _ht_volume_once(sphere: EmbeddedSphere, k: int) -> float:
     return float(np.sum(wq * J * areas) / np.pi)
 
 
-def ht_volume(sphere: EmbeddedSphere, seed: int = 0) -> VolumeReport:
+def ht_volume(sphere: EmbeddedSphere) -> VolumeReport:
     """Holmes-Thompson volume of the induced metric: symplectic volume of
     the unit co-disc bundle divided by the area of the Euclidean unit disc.
-    Quadrature error is estimated by grid doubling."""
+    Quadrature error is estimated by grid doubling.  The quadrature draws
+    nothing at random, so the report's seed is None."""
     if sphere.dim != 3:
         raise UnsupportedInputError("volumes are implemented for dimension 3")
     coarse = _ht_volume_once(sphere, 1)
@@ -132,7 +135,7 @@ def ht_volume(sphere: EmbeddedSphere, seed: int = 0) -> VolumeReport:
         value=fine,
         method="quadrature",
         samples=4 * _N_MU * _N_PHI,
-        seed=seed,
+        seed=None,
         error_estimate=abs(fine - coarse),
         details={"coarse": coarse, "n_mu": _N_MU, "n_phi": _N_PHI, "n_beta": _N_BETA},
     )
@@ -257,7 +260,7 @@ def crofton_line_measure(
                 method="monte_carlo",
                 samples=n_samples,
                 seed=seed,
-                error_estimate=norm * np.sqrt(var / n_samples),
+                error_estimate=norm * math.sqrt(var / n_samples),
                 details={"R_Q": R_Q, "hit_fraction": mean},
             )
     raise NumericalFailureError("bounding region kept overflowing")

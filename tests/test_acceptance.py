@@ -166,8 +166,10 @@ def test_criterion_6_volume_and_spectrum_equality():
     ok = _report("6a volume equality across dual sides", worst_v, 1e-2)
 
     s = EmbeddedSphere(ANISO, PM4)
-    sp = length_spectrum_probe(s, 4, seed=0, N=16)
-    sd = length_spectrum_probe(s.swapped(), 4, seed=1, N=16)
+    sp = length_spectrum_probe(s, GirthOptions(N=16, starts=4, seed=0, tol=1e-11))
+    sd = length_spectrum_probe(
+        s.swapped(), GirthOptions(N=16, starts=4, seed=1, tol=1e-11)
+    )
     worst_s = 0.0
     for v in sp:
         worst_s = max(worst_s, min(abs(v - w) for w in sd))

@@ -73,6 +73,50 @@ def test_power_mean_rejects_odd_exponent():
         make_power_mean([np.eye(3)], 3)
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda pm: pm.gauge(np.zeros((2, 3))),
+            PreconditionError,
+            "undefined at the origin",
+        ),
+        (lambda pm: make_ellipsoid(np.ones((2, 3))), RejectedInputError, "must be square"),
+        (lambda pm: make_power_mean([], 4), RejectedInputError, "at least one quadratic term"),
+        (
+            lambda pm: make_power_mean([np.eye(3), np.eye(2)], 4),
+            RejectedInputError,
+            "share one dimension",
+        ),
+        (lambda pm: scale_body(pm, 0.0), RejectedInputError, "scale factor must be positive"),
+        (lambda pm: scale_body(pm, -2.0), RejectedInputError, "scale factor must be positive"),
+        (
+            lambda pm: legendre_inverse(pm, np.array([[0.1, 0.0, 0.0]])),
+            PreconditionError,
+            r"requires F\*\(xi\) = 1",
+        ),
+        (
+            lambda pm: check_quadratic_convexity(pm, 0, seed=0),
+            RejectedInputError,
+            "at least one sample",
+        ),
+    ],
+    ids=[
+        "gauge-at-origin",
+        "ellipsoid-not-square",
+        "power-mean-no-terms",
+        "power-mean-mixed-dims",
+        "scale-zero",
+        "scale-negative",
+        "legendre-inverse-off-dual-sphere",
+        "convexity-no-samples",
+    ],
+)
+def test_rejected_inputs_raise_typed_errors(pm_body, call, error, match):
+    with pytest.raises(error, match=match):
+        call(pm_body)
+
+
 def test_power_mean_p2_is_ellipsoid():
     mats = [np.diag([1.0, 2.0, 0.5]), np.eye(3)]
     pm = make_power_mean(mats, 2)

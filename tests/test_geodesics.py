@@ -38,7 +38,7 @@ FAST = GirthOptions(N=16, starts=3, seed=0)
 def test_round_girth_is_two_pi(round_sphere):
     res = girth(round_sphere, FAST)
     assert res.girth == pytest.approx(2.0 * np.pi, rel=1e-5)
-    assert res.certificate["certified"]
+    assert res.certificate["first_order_residual"] <= 1e-6
 
 
 def test_girth_runs_fewer_starts_than_coordinate_planes(round_sphere):
@@ -62,7 +62,10 @@ def test_girth_linear_invariance(tilted_ellipsoid):
 # girth and the spectrum search the same class of centrally symmetric curves
 SYMMETRIC_SEARCHES = [
     pytest.param(lambda s: girth(s, FAST), id="girth"),
-    pytest.param(lambda s: length_spectrum_probe(s, 3, seed=0, N=16), id="spectrum"),
+    pytest.param(
+        lambda s: length_spectrum_probe(s, GirthOptions(N=16, starts=3, seed=0, tol=1e-11)),
+        id="spectrum",
+    ),
 ]
 
 
@@ -102,14 +105,16 @@ def test_girth_duality_mixed_pair(aniso_ellipsoid, pm_body):
 
 
 def test_spectrum_probe_round_sphere(round_sphere):
-    lengths = length_spectrum_probe(round_sphere, 4, seed=0, N=16)
+    lengths = length_spectrum_probe(
+        round_sphere, GirthOptions(N=16, starts=4, seed=0, tol=1e-11)
+    )
     assert lengths
     assert min(abs(v - 2.0 * np.pi) for v in lengths) <= 1e-5
 
 
 def test_spectrum_probe_ellipsoid_principal_ellipses(euclid, aniso_ellipsoid):
     s = EmbeddedSphere(aniso_ellipsoid, euclid)
-    lengths = length_spectrum_probe(s, 3, seed=0, N=16)
+    lengths = length_spectrum_probe(s, GirthOptions(N=16, starts=3, seed=0, tol=1e-11))
     expected = [
         ellipse_perimeter(0.8, 0.6),
         ellipse_perimeter(1.0, 0.6),
@@ -370,19 +375,23 @@ def test_flow_requires_finite_positive_T_and_dt(round_sphere, T, dt):
     [
         lambda s: girth(s, GirthOptions(N=8, starts=0)),
         lambda s: girth(s, GirthOptions(N=2, starts=1)),
-        lambda s: length_spectrum_probe(s, 0, seed=0, N=8),
-        lambda s: length_spectrum_probe(s, 1, seed=0, N=1),
+        lambda s: length_spectrum_probe(s, GirthOptions(N=8, starts=0, seed=0, tol=1e-11)),
+        lambda s: length_spectrum_probe(s, GirthOptions(N=1, starts=1, seed=0, tol=1e-11)),
+        lambda s: girth(s, GirthOptions(N=8, starts=1, levels=0)),
+        lambda s: length_spectrum_probe(s, GirthOptions(N=8, starts=1, levels=0)),
     ],
     ids=[
         "girth-starts-0",
         "girth-N-2",
         "spectrum-starts-0",
         "spectrum-N-1",
+        "girth-levels-0",
+        "spectrum-levels-0",
     ],
 )
 def test_degenerate_sizes_raise_precondition_errors(round_sphere, call):
-    # fewer than one start or 3 half points leave nothing to minimize: a
-    # typed error up front, not a numpy error or a warning
+    # fewer than one start, 3 half points or one level leave nothing to
+    # minimize: a typed error up front, not a numpy error or a warning
     with pytest.raises(PreconditionError):
         call(round_sphere)
 
@@ -403,7 +412,9 @@ def test_symmetric_length_definition(round_sphere):
 def test_spectrum_probe_single_level(round_sphere):
     # one level has nothing to extrapolate: every found length is the plain
     # length of a 32-gon inscribed in a great circle
-    lengths = length_spectrum_probe(round_sphere, 3, seed=0, N=16, levels=1)
+    lengths = length_spectrum_probe(
+        round_sphere, GirthOptions(N=16, starts=3, seed=0, tol=1e-11, levels=1)
+    )
     assert lengths
     assert min(abs(v - 64.0 * np.sin(np.pi / 32.0)) for v in lengths) <= 1e-8
 
@@ -539,7 +550,8 @@ def test_batched_solver_agrees_with_scipy_lbfgsb(
     opts = GirthOptions(N=16, starts=4, seed=harness.subseed(0, 10))
     for s in (sphere, sphere.swapped()):
         both(lambda: girth(s, opts).certificate["start_lengths"])
-    both(lambda: length_spectrum_probe(round_sphere, 4, seed=0, N=16))
+    spectrum_opts = GirthOptions(N=16, starts=4, seed=0, tol=1e-11)
+    both(lambda: length_spectrum_probe(round_sphere, spectrum_opts))
 
 
 def _counted_minimize(monkeypatch):

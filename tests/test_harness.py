@@ -215,11 +215,48 @@ def test_unknown_space_key_is_config_error(tmp_path, capsys):
     _assert_config_exit(tmp_path, capsys, d, "unknown space keys: ['nrom2']")
 
 
+def _set(d, path, value):
+    """A copy of ``d`` with the entry at the key path replaced; the empty
+    path replaces the whole document."""
+    if not path:
+        return value
+    d = json.loads(json.dumps(d))  # the module's norm dicts stay as they are
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "path, value, start",
+    [
+        ((), [1, 2, 3], "config must be a JSON object"),
+        (("solver",), [16], "solver must be an object"),
+        (("tolerances",), 1e-6, "tolerances must be an object"),
+        (
+            ("space", "norm1", "matrix"),
+            [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+            "ellipsoid matrix must be a 3x3 matrix of numbers",
+        ),
+        (
+            ("space", "norm1", "matrix"),
+            [["one", 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "ellipsoid matrix must be a 3x3 matrix of numbers",
+        ),
+        (("space", "norm1"), dict(PM, terms={"a": 1}), "power_mean terms must be a list"),
+    ],
+    ids=["config", "solver", "tolerances", "ragged-matrix", "text-matrix", "terms"],
+)
+def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, start):
+    _assert_config_exit(tmp_path, capsys, _set(make_config("girth"), path, value), start)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
 def test_shipped_configs_validate(path):
     dim = json.loads(path.read_text())["space"]["dim"]
-    for name, (_, min_dim) in harness.EXPERIMENTS.items():
-        if dim >= min_dim:
+    for name, (_, (lo, hi)) in harness.EXPERIMENTS.items():
+        if lo <= dim <= hi:
             cfg = ExperimentConfig.from_file(path, experiment=name)
             for spec in (cfg.norm1, cfg.norm2):
                 if spec is not None:
@@ -280,7 +317,7 @@ def test_volume_check_keeps_its_tolerance(monkeypatch):
     monkeypatch.setattr(
         harness,
         "ht_volume",
-        lambda s, seed: VolumeReport(next(values), "stub", 1, seed, error_estimate=1e-2),
+        lambda s: VolumeReport(next(values), "stub", 1, None, error_estimate=1e-2),
     )
     rep = run(ExperimentConfig.from_dict(make_config("volume")))
     (check,) = [c for c in rep.checks if c["name"] == "volume_equality"]
@@ -346,8 +383,8 @@ def test_spectrum_fails_when_a_side_finds_no_geodesic(monkeypatch, empty_side):
     if empty_side is not None:
         empty = [empty[empty_side]]
 
-    def probe(sphere, starts, seed, **kw):
-        return [] if seed in empty else [1.0]
+    def probe(sphere, opts):
+        return [] if opts.seed in empty else [1.0]
 
     monkeypatch.setattr(harness, "length_spectrum_probe", probe)
     rep = run(config)
@@ -380,6 +417,24 @@ def test_reports_are_strict_json(monkeypatch):
             for key in path:
                 d = d[key]
             assert d is None
+
+
+def test_numpy_valued_config_serializes_to_strict_json():
+    # matrices given as numpy arrays reach the report as they were given;
+    # the serializer writes them, and numpy scalars, as JSON lists and numbers
+    listed = make_config("girth", norm1=AN_E, solver={"N": 8, "starts": 1, "levels": 1})
+    arrays = make_config(
+        "girth",
+        norm1=dict(AN_E, matrix=np.array(AN_E["matrix"])),
+        solver={"N": 8, "starts": 1, "levels": 1},
+    )
+    rep = run(ExperimentConfig.from_dict(arrays))
+    assert isinstance(rep.config["space"]["norm1"]["matrix"], np.ndarray)
+    assert rep.canonical_bytes() == run(ExperimentConfig.from_dict(listed)).canonical_bytes()
+    d = _strict_loads(rep.to_json())
+    assert d["config"]["space"]["norm1"]["matrix"] == AN_E["matrix"]
+    values = {"a": np.array([1.5, np.nan]), "b": np.float32(np.inf), "c": np.int64(3)}
+    assert _strict_loads(harness._strict_json(values)) == {"a": [1.5, None], "b": None, "c": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +541,20 @@ def test_cli_subcommand_sets_the_experiment_before_validation(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["girth", "--config", write_config(tmp_path, d), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["experiment"] == "girth"
+
+
+@pytest.mark.parametrize("experiment", ["volume", "crofton"])
+def test_cli_volume_and_crofton_need_dim_3(tmp_path, capsys, experiment):
+    # the quadrature and the line measure are implemented in dimension 3
+    # only: a valid dim-4 config is a config error, not a solver error
+    d = make_config(experiment, norm1={"type": "ellipsoid", "matrix": np.eye(4).tolist()})
+    d["space"]["dim"] = 4
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(d)
+    assert main([experiment, "--config", write_config(tmp_path, d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {experiment} requires dim = 3\n"
+    assert captured.out == ""
 
 
 def test_emit_plot_data_spectrum(tmp_path):

@@ -36,6 +36,16 @@ def test_action_of_straight_segment():
     assert action(q, p) == pytest.approx(5.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "qs, ps",
+    [(np.zeros((4, 3)), np.zeros((5, 3))), (np.zeros(3), np.zeros(3))],
+    ids=["unmatched", "one-dimensional"],
+)
+def test_action_needs_matching_2d_samples(qs, ps):
+    with pytest.raises(PreconditionError, match="need matching 2-D sample arrays"):
+        action(qs, ps)
+
+
 def test_action_reparameterization_invariance():
     t = np.linspace(0.0, 1.0, 4001)
     q = np.stack([np.cos(t), np.sin(t), t], axis=-1)

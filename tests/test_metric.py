@@ -453,6 +453,12 @@ def test_induced_length_reversal_invariance(aniso_ellipsoid, pm_body):
     )
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 4, 3)], ids=["one-point", "3-d"])
+def test_induced_length_needs_a_2d_point_list(round_sphere, shape):
+    with pytest.raises(PreconditionError, match="expected a 2-D array of points"):
+        induced_length(round_sphere, np.ones(shape), closed=False)
+
+
 def test_induced_length_needs_three_points(round_sphere):
     pts = project_to_surface(round_sphere.body1, RNG.standard_normal((2, 3)))
     with pytest.raises(PreconditionError):
