@@ -7,7 +7,8 @@ Usage: python scripts/fingerprints.py [--seeds 0 1 2 3 4] [--experiments girth .
 Each line is ``seed name sha256``: the sha256 of ``Outcome.fingerprint`` of
 one benchmark workload (all of ``perfbench/workloads.py`` run), or of
 ``harness.run(...).canonical_bytes()`` for one experiment on the space of
-one ``configs/*.json``, with the config's seed replaced by the given one.
+one ``configs/*.json``, with the config's seed replaced by the given one;
+an experiment runs only on the configs whose ``space.dim`` it accepts.
 girthlab is imported from the ``src/`` next to this script, so two source
 trees report the same numbers bit for bit exactly when the outputs of this
 script in each of them are identical.  Each line's elapsed wall seconds go
@@ -73,8 +74,13 @@ def main(argv=None):
             numbers.update((f"values.{k}", v) for k, v in out.values.items())
             emit(seed, name, out.fingerprint, numbers, t0)
         for path in configs:
+            spec = json.loads(path.read_text())
+            dim = spec["space"].get("dim", 3)
             for exp in args.experiments:
-                d = dict(json.loads(path.read_text()), experiment=exp, seed=seed)
+                lo, hi = girthlab.harness.EXPERIMENTS[exp][1]
+                if not lo <= dim <= hi:
+                    continue  # the experiment rejects the config's dimension
+                d = dict(spec, experiment=exp, seed=seed)
                 t0 = time.perf_counter()
                 data = girthlab.run(girthlab.ExperimentConfig.from_dict(d)).canonical_bytes()
                 numbers = dict(_numbers(json.loads(data)))

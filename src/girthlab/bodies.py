@@ -97,6 +97,8 @@ def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
         x = np.asarray(x, dtype=float)
         Ax = x @ AT  # rows A x: F and grad F from one product
         F = np.sqrt(np.add.reduce(x * Ax, axis=-1))
+        if not F.all():  # some F == 0; NaN rows pass
+            raise PreconditionError("gauge evaluators are undefined at the origin")
         g = Ax / F[..., None] if order else None
         H = np.tile(A, x.shape[:-1] + (1, 1)) if order == 2 else None
         return F, g, H

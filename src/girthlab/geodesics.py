@@ -2,18 +2,21 @@
 
 Girth and the length spectrum minimize one discrete polygon energy with one
 continuation driver, over centrally symmetric closed polygons of which half
-the vertices are stored.  Minimization happens on free ambient vectors that
-are radially rescaled onto the surface, so the constraint is exact, and is
-preconditioned by the inverse square root of the shifted chain Laplacian of
-the polygon's vertices, so its conditioning does not degrade as the vertex
-count grows.  Discrete curve *energy* (segment count times the sum of
-squared chord gauges) is the optimization objective: its minimizers are
-constant-speed discrete geodesics, whereas raw chord length admits spurious
-collapsed configurations.  Reported lengths are always plain chord-gauge
-sums.  The characteristic flow runs one batched RK4 stepper by parareal:
-coarse steps over windows of 64 or more steps, one start at a time, and
-fine sweeps of all windows at once, until the windows' seams agree to
-1e-14; a flow of at most 127 steps is one sweep, the sequential stepper.
+the vertices are stored.  One chord operator D, whose last row closes the
+polygon at the antipode of its first vertex, gives the chords D x, the
+energy gradient through D^T and the midpoint upsampling between levels.
+Minimization happens on free ambient vectors that are radially rescaled
+onto the surface, so the constraint is exact, and is preconditioned by the
+inverse square root of the shifted chain Laplacian D^T D, so its
+conditioning does not degrade as the vertex count grows.  Discrete curve
+*energy* (segment count times the sum of squared chord gauges) is the
+optimization objective: its minimizers are constant-speed discrete
+geodesics, whereas raw chord length admits spurious collapsed
+configurations.  Reported lengths are always plain chord-gauge sums.  The
+characteristic flow runs one batched RK4 stepper by parareal: coarse steps
+over windows of 64 or more steps, one start at a time, and fine sweeps of
+all windows at once, until the windows' seams agree to 1e-14; a flow of at
+most 127 steps is one sweep, the sequential stepper.
 """
 
 from __future__ import annotations
@@ -83,18 +86,21 @@ class GirthResult:
 # discrete energies
 #
 # A polygon is its n free vertices, the first half of a centrally symmetric
-# closed polygon: the last vertex wraps to the antipode of the first, and the
-# polygon counts as two halves.  Polygons come in stacks (B, n, dim) of one
-# vertex count.
+# closed polygon, which counts as two halves; its chords are D x, with the
+# antipodal closure in the last row of D.  Polygons come in stacks
+# (B, n, dim) of one vertex count.
 
 
-def _chain(x: Array) -> Array:
-    """The vertex chains whose successive differences are the chords."""
-    return np.concatenate([x, -x[:, :1]], axis=1)
+def _chords(n: int) -> Array:
+    """The chord operator D (n, n): row i of D x is the chord x_{i+1} - x_i,
+    and the last chord runs to x_n = -x_0, the antipodal closure."""
+    D = np.eye(n, k=1) - np.eye(n)
+    D[-1, 0] = -1.0
+    return D
 
 
 def _length(sphere: EmbeddedSphere, x: Array) -> Array:
-    return 2.0 * np.sum(sphere.body2.gauge(np.diff(_chain(x), axis=1)), axis=-1)
+    return 2.0 * np.sum(sphere.body2.gauge(_chords(x.shape[1]) @ x), axis=-1)
 
 
 def _jet(body, x, order, warm, rows):
@@ -114,21 +120,14 @@ def _energy_and_grad(sphere: EmbeddedSphere, y: Array, warm=(None, None), rows=N
     the chords of every problem (None for any other body), and ``rows``
     says which problems y holds: their solves start from these solutions
     and replace them."""
-    body1, body2 = sphere.body1, sphere.body2
     n = y.shape[1]
-    F1, grad1, _ = _jet(body1, y, 1, warm[0], rows)
+    D = _chords(n)
+    F1, grad1, _ = _jet(sphere.body1, y, 1, warm[0], rows)
     x = y / F1[..., None]
-    c = np.diff(_chain(x), axis=1)
-    Fc, gc, _ = _jet(body2, c, 1, warm[1], rows)
-    Fgrad = Fc[..., None] * gc  # the gradient of 0.5 F^2
+    Fc, gc, _ = _jet(sphere.body2, D @ x, 1, warm[1], rows)
     E = 2 * n * np.sum(Fc**2, axis=-1)
-    w = (4.0 * n) * Fgrad
-    gV = np.zeros((len(y), n + 1, y.shape[2]))
-    gV[:, 1:] += w
-    gV[:, :-1] -= w
-    # fold the closing row, the antipode of the first vertex, back onto it
-    g = gV[:, :n]
-    g[:, 0] -= gV[:, n]
+    # D^T applied to the chords' gradients of 0.5 F^2
+    g = D.T @ ((4.0 * n) * (Fc[..., None] * gc))
     # chain rule through the radial projection
     xg = np.einsum("bij,bij->bi", x, g)
     gy = (g - xg[..., None] * grad1) / F1[..., None]
@@ -302,12 +301,13 @@ def _symmetric_starts(sphere: EmbeddedSphere, N: int, count: int, seed) -> Array
 
 
 def _upsample(x: Array) -> Array:
-    """Insert the midpoint between each free vertex and its successor."""
-    nxt = _chain(x)[:, 1:]
-    out = np.empty((x.shape[0], 2 * x.shape[1], x.shape[2]))
-    out[:, 0::2] = x
-    out[:, 1::2] = 0.5 * (x + nxt)
-    return out
+    """P x: each free vertex followed by the midpoint of its chord, where P
+    (2n, n) interleaves the rows of I with those of I + D / 2."""
+    n = x.shape[1]
+    P = np.empty((2 * n, n))
+    P[0::2] = np.eye(n)
+    P[1::2] = np.eye(n) + 0.5 * _chords(n)
+    return P @ x
 
 
 def _richardson(L: Array):
@@ -329,14 +329,12 @@ _SHIFT = 0.1  # sigma of the preconditioner, the Laplacian's shift
 
 def _preconditioner(n: int):
     """C = (L + sigma I)^(-1/2) and its inverse for n free vertices, both
-    symmetric, from one eigendecomposition.  L is the chain Laplacian of the
-    symmetric polygon: tridiagonal (2, -1), with corner entries +1, as its
-    last chord runs from the last vertex to the antipode of the first.  L is
-    positive definite; the shift bounds the condition number of C by
-    sqrt(4.1 / 0.1), about 6.4, at any n."""
-    L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    L[0, -1] = L[-1, 0] = 1.0
-    w, V = np.linalg.eigh(L + _SHIFT * np.eye(n))
+    symmetric, from one eigendecomposition.  L = D^T D is the chain
+    Laplacian of the chord operator D of :func:`_chords`, positive definite;
+    the shift bounds the condition number of C by sqrt(4.1 / 0.1), about
+    6.4, at any n."""
+    D = _chords(n)
+    w, V = np.linalg.eigh(D.T @ D + _SHIFT * np.eye(n))
     root = np.sqrt(w)
     C, Cinv = (V / root) @ V.T, (V * root) @ V.T
     return 0.5 * (C + C.T), 0.5 * (Cinv + Cinv.T)
@@ -353,8 +351,8 @@ def _continuation(sphere, x, tol, levels):
     vertices.
 
     The energy is a discrete Dirichlet energy, whose Hessian is close to a
-    multiple of the chain Laplacian L, with condition number growing like
-    n^2.  So each level minimizes in the variables z = C^-1 y, where C =
+    multiple of the chain Laplacian L = D^T D, with condition number growing
+    like n^2.  So each level minimizes in the variables z = C^-1 y, where C =
     (L + sigma I)^(-1/2) comes from :func:`_preconditioner`: the objective
     is z -> E(C z) with gradient C grad E(C z), the start is C^-1 x and the
     minimizer's result is mapped back by C before the radial projection.

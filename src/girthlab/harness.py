@@ -25,11 +25,7 @@ from .bodies import (
     make_power_mean,
 )
 from .errors import ConfigError, RejectedInputError
-from .geodesics import (
-    GirthOptions,
-    girth,
-    length_spectrum_probe,
-)
+from .geodesics import GirthOptions, _richardson, girth, length_spectrum_probe
 from .maps import Phi, phi, psi
 from .measures import action, crofton_line_measure, ht_volume
 from .metric import (
@@ -524,7 +520,7 @@ def emit_plot_data(report: ExperimentReport, path_stem: str) -> list:
         lengths = cert["continuation_lengths"]
         n0 = cert["n_half_final"] // (2 ** (len(lengths) - 1))
         rows = [
-            (n0 * 2**i, L, (4.0 * L - lengths[i - 1]) / 3.0 if i else L)
+            (n0 * 2**i, L, float(_richardson(np.array(lengths[: i + 1]))[0]))
             for i, L in enumerate(lengths)
         ]
         p = f"{path_stem}_continuation.csv"

@@ -20,6 +20,7 @@ from girthlab import (
     legendre_inverse,
     make_ellipsoid,
     make_power_mean,
+    project_to_surface,
     scale_body,
 )
 from girthlab import bodies
@@ -81,6 +82,21 @@ def test_power_mean_rejects_odd_exponent():
             PreconditionError,
             "undefined at the origin",
         ),
+        (
+            lambda pm: make_ellipsoid(np.eye(3)).gauge(np.zeros(3)),
+            PreconditionError,
+            "undefined at the origin",
+        ),
+        (
+            lambda pm: make_ellipsoid(np.eye(3)).jet(np.zeros((2, 3)), 1),
+            PreconditionError,
+            "undefined at the origin",
+        ),
+        (
+            lambda pm: project_to_surface(make_ellipsoid(np.eye(3)), np.zeros((1, 3))),
+            PreconditionError,
+            "undefined at the origin",
+        ),
         (lambda pm: make_ellipsoid(np.ones((2, 3))), RejectedInputError, "must be square"),
         (lambda pm: make_power_mean([], 4), RejectedInputError, "at least one quadratic term"),
         (
@@ -103,6 +119,9 @@ def test_power_mean_rejects_odd_exponent():
     ],
     ids=[
         "gauge-at-origin",
+        "ellipsoid-gauge-at-origin",
+        "ellipsoid-jet-at-origin",
+        "ellipsoid-projection-at-origin",
         "ellipsoid-not-square",
         "power-mean-no-terms",
         "power-mean-mixed-dims",

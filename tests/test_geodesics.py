@@ -20,6 +20,7 @@ from girthlab import (
 from girthlab import bodies, geodesics, harness, metric
 from girthlab.geodesics import (
     DiscreteSymmetricCurve,
+    _chords,
     _continuation,
     _energy_and_grad,
     _length,
@@ -27,6 +28,7 @@ from girthlab.geodesics import (
     _random_circle,
     _richardson,
     _symmetric_starts,
+    _upsample,
 )
 from girthlab.metric import CoSpherePoint, cosphere_lift
 
@@ -609,6 +611,21 @@ def test_preconditioner_is_the_inverse_root_of_the_shifted_laplacian(n):
     A = D.T @ D + geodesics._SHIFT * eye
     np.testing.assert_allclose(C @ A @ C, eye, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Cinv @ C, eye, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 16, 96])
+def test_chord_operator_and_upsampling_keep_the_bits_of_the_closed_chain(n):
+    # D x is one rounded subtraction per chord, np.diff of the chain closed
+    # at -x_0, and the upsampled polygon holds x and the chords' midpoints,
+    # the last one between x_{n-1} and -x_0, bit for bit
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((4, n, 3)) * np.exp(rng.uniform(-5.0, 5.0, (4, n, 3)))
+    closed = np.concatenate([x, -x[:, :1]], axis=1)
+    assert (_chords(n) @ x).tobytes() == np.diff(closed, axis=1).tobytes()
+    up = _upsample(x)
+    assert up.shape == (4, 2 * n, 3)
+    assert up[:, 0::2].tobytes() == x.tobytes()
+    assert up[:, 1::2].tobytes() == (0.5 * (closed[:, :-1] + closed[:, 1:])).tobytes()
 
 
 def test_girth_takes_the_first_of_starts_tied_to_rounding(monkeypatch, pm_body6, tilted_ellipsoid):
