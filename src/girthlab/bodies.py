@@ -44,7 +44,8 @@ class GaugeBody:
     None for the orders not asked for.  F is positively 1-homogeneous and
     its gradient is taken in Euclidean coordinates.  ``gauge``, ``gradient``
     and ``hessian_half_sq`` are the jet's three components, one at a time.
-    ``symmetric`` flags gauges with F(-x) = F(x).
+    ``symmetric`` flags gauges with F(-x) = F(x).  ``params["floor"]``, where
+    the family gives one, is an m > 0 with F(x) >= m |x| for every x.
     """
 
     dim: int
@@ -77,11 +78,16 @@ def _normalized(x: Array):
     return r, x / r[..., None]
 
 
-def _require_spd(A: Array, what: str):
+def _require_spd(A: Array, what: str) -> float:
+    """Smallest eigenvalue of A, once A is finite, symmetric and positive definite."""
+    if not np.isfinite(A).all():
+        raise RejectedInputError(f"{what} must be finite")
     if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
         raise RejectedInputError(f"{what} must be symmetric")
-    if np.linalg.eigvalsh(A).min() <= 1e-12:
+    lam = np.linalg.eigvalsh(A)[0]
+    if lam <= 1e-12:
         raise RejectedInputError(f"{what} must be positive definite")
+    return lam
 
 
 def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
@@ -89,7 +95,7 @@ def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise RejectedInputError("ellipsoid matrix must be square")
-    _require_spd(A, "ellipsoid matrix")
+    lam = _require_spd(A, "ellipsoid matrix")
     n = A.shape[0]
     AT = np.ascontiguousarray(A.T)  # a row's product has the bits of its batch's
 
@@ -109,7 +115,8 @@ def make_ellipsoid(A: Array, label: Optional[str] = None) -> GaugeBody:
         symmetric=True,
         label=label or "ellipsoid",
         kind="ellipsoid",
-        params={"A": A},
+        # F(x) >= sqrt(lambda_min) |x|, attained at the eigenvector
+        params={"A": A, "floor": float(np.sqrt(lam))},
     )
 
 
@@ -128,10 +135,9 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
     if not (isinstance(p, (int, np.integer)) and p >= 2 and p % 2 == 0):
         raise RejectedInputError("exponent p must be an even integer >= 2")
     n = mats[0].shape[0]
-    for A in mats:
-        if A.shape != (n, n):
-            raise RejectedInputError("all matrices must share one dimension")
-        _require_spd(A, "matrices")
+    if any(A.shape != (n, n) for A in mats):
+        raise RejectedInputError("all matrices must share one dimension")
+    lam = np.array([_require_spd(A, "matrices") for A in mats])
     stack = np.stack(mats)  # (k, n, n)
     half = p // 2
 
@@ -174,15 +180,16 @@ def make_power_mean(mats, p: int, label: Optional[str] = None) -> GaugeBody:
         symmetric=True,
         label=label or f"power_mean(p={p},k={len(mats)})",
         kind="power_mean",
-        params={"mats": stack, "p": p},
+        # each x'A_i x >= lambda_min(A_i) |x|^2
+        params={"mats": stack, "p": p, "floor": float(np.sum(lam**half) ** (1.0 / p))},
     )
 
 
 def scale_body(body: GaugeBody, lam: float) -> GaugeBody:
     """Body whose gauge is ``lam * F``; its unit ball is the original one
     shrunk by ``lam``."""
-    if lam <= 0:
-        raise RejectedInputError("scale factor must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise RejectedInputError("scale factor must be positive and finite")
 
     def jet(x, order):
         F, g, H = body.jet(x, order)
@@ -194,7 +201,8 @@ def scale_body(body: GaugeBody, lam: float) -> GaugeBody:
         symmetric=body.symmetric,
         label=f"{lam}*{body.label}",
         kind="scaled",
-        params={"base": body, "lam": lam},
+        # lam F(x) >= lam m |x|; a base without a floor gives m = 0
+        params={"base": body, "lam": lam, "floor": lam * body.params.get("floor", 0.0)},
     )
 
 

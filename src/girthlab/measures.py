@@ -157,23 +157,6 @@ def _euclid_radius(body: GaugeBody) -> float:
     return float((1.0 / body.gauge(d)).max())
 
 
-def _gauge_floor(body: GaugeBody) -> float:
-    """The largest m with F(x) >= m |x| that the body's kind gives in
-    closed form: sqrt(lambda_min(A)) for an ellipsoid (attained at the
-    eigenvector), (sum_i lambda_min(A_i)^{p/2})^{1/p} for a power mean
-    (each x'A_i x >= lambda_min(A_i) |x|^2), lam times the base's floor for
-    a scaled body, and 0 for any other kind."""
-    if body.kind == "ellipsoid":
-        return float(np.sqrt(np.linalg.eigvalsh(body.params["A"])[0]))
-    if body.kind == "power_mean":
-        p = body.params["p"]
-        lam = np.linalg.eigvalsh(body.params["mats"])[:, 0]
-        return float(np.sum(lam ** (p // 2)) ** (1.0 / p))
-    if body.kind == "scaled":
-        return body.params["lam"] * _gauge_floor(body.params["base"])
-    return 0.0
-
-
 def crofton_line_measure(
     ambient: GaugeBody,
     M: GaugeBody,
@@ -190,15 +173,16 @@ def crofton_line_measure(
     edge trigger an enlarged-region retry.
 
     Only lines that can meet M go to the line solve.  Take the gauge floor
-    F_M(x) >= m |x| of :func:`_gauge_floor`, shrunk by ``_FLOOR_MARGIN``.
+    F_M(x) >= m |x| that M's family stored as ``params["floor"]``, shrunk
+    by ``_FLOOR_MARGIN``.
     Every point of the line Q + t gs is at least d = |Q - (<Q, gs> /
     |gs|^2) gs| from the origin in the Euclidean norm, so min_t F_M >= m d.
     A line with m d >= 1 therefore has a line minimum of at least 1 and is
     one the hit test val < 1 - 1e-10 rejects anyway: dropping it changes
     no hit, and as the line minimum of a row does not depend on its batch,
-    the result is bit-identical to solving every line.  Kinds
-    without a closed-form floor (a numeric dual, a generic body) get m = 0,
-    and then every line is solved.
+    the result is bit-identical to solving every line.  A body without a
+    stored floor (a numeric dual, a generic body) gets m = 0, and then
+    every line is solved.
 
     ``details["hit_fraction"]`` is the mean of J * hit over the samples, the
     density-weighted mean the estimate is ``4 pi^2 R_Q^2`` times; it is not
@@ -216,7 +200,7 @@ def crofton_line_measure(
     r_P = _euclid_radius(dual) * 1.05  # max Euclidean norm over the dual surface
     r_L = _euclid_radius(ambient) * 1.05  # supporting points lie on the unit surface
     R_Q = r_M * (1.0 + r_P * r_L) * 1.1
-    m_M = _gauge_floor(M) * (1.0 - _FLOOR_MARGIN)
+    m_M = M.params.get("floor", 0.0) * (1.0 - _FLOOR_MARGIN)
 
     for _attempt in range(4):
         rng = np.random.default_rng(seed)

@@ -171,8 +171,9 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
       (the dual of a norm restricted to a subspace is the quotient of the
       dual norm; Rockafellar, Convex Analysis, 1970, section 16), so one
       damped Newton solve of the gradient inverse on the section n'x = 0
-      gives the maximizer x, and from it t*, F*(xi*) = F(x) and
-      grad F*(xi*) = x / F(x) (:func:`_section_line_minimum`);
+      gives the maximizer x with grad(0.5 F^2)(x) = xi*, and from it
+      t* = <grad(0.5 F^2)(x) - p, n> / |n|^2, F*(xi*) = F(x) and
+      grad F*(xi*) = x / F(x);
     - safeguarded Newton: every other dual (power mean, scaled) works on
       the strictly convex square of the dual gauge with a safeguarded
       Newton iteration (bisection fallback on a sign-change bracket) to a
@@ -193,57 +194,45 @@ def _line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
     p = p.reshape(-1, p.shape[-1])
     n = np.asarray(n, dtype=float).reshape(p.shape)
     live = np.add.reduce(p * p, axis=-1) != 0.0  # NaN rows are live
-    if live.size and live.all():
-        out = _live_line_minimum(dual, p, n, order)
-    else:
+    gather = not live.all()
+    if gather:
         # gather only when some entry is zero: copies of the whole batch
         # would sit beside the Newton loop's compacted arrays
-        m = p.shape[0]
-        out = np.zeros(m), np.zeros(m), np.full(p.shape, np.nan) if order else None
-        if live.any():
-            t, val, grad = out
-            t[live], val[live], g = _live_line_minimum(dual, p[live], n[live], order)
-            if order:
-                grad[live] = g
-    t, val, grad = out
-    grad = None if grad is None else grad.reshape(shape + p.shape[-1:])
-    return t.reshape(shape)[()], val.reshape(shape)[()], grad
-
-
-def _live_line_minimum(dual: GaugeBody, p: Array, n: Array, order: int):
-    """:func:`_line_minimum` on rows with p != 0."""
+        p, n = p[live], n[live]
     if dual.kind == "dual" and "primal" in dual.params:
-        return _section_line_minimum(dual.params["primal"], p, n, order)
-    if dual.kind == "ellipsoid":
-        Bn = n @ dual.params["A"]
-        t = -np.add.reduce(Bn * p, axis=-1) / np.add.reduce(Bn * n, axis=-1)
+        primal = dual.params["primal"]
+        x = _solve_gradient_inverse(primal, p, tangent_basis(n))
+        F, g, _ = primal.jet(x, 1)
+        t = np.einsum("...i,...i->...", F[:, None] * g - p, n) / np.einsum("...i,...i->...", n, n)
+        g = x / F[:, None] if order else None
     else:
-        def slope(xi, n):
-            return _line_jet(dual, xi, n, 1)[1]
+        if dual.kind == "ellipsoid":
+            Bn = n @ dual.params["A"]
+            t = -np.add.reduce(Bn * p, axis=-1) / np.add.reduce(Bn * n, axis=-1)
+        else:
+            def slope(xi, n):
+                return _line_jet(dual, xi, n, 1)[1]
 
-        scale = np.linalg.norm(p, axis=-1) / np.linalg.norm(n, axis=-1)
-        # initial Newton step from t = 0, then a sign-change bracket of the
-        # slope around it by expansion
-        t = -np.divide(*_line_jet(dual, p, n, 2)[1:])
-        step = np.maximum(np.abs(t), scale)
-        lo, hi = t - step, t + step
-        _expand_bracket(slope, p, n, lo, step.copy(), -1.0)
-        _expand_bracket(slope, p, n, hi, step, 1.0)
-        _safeguarded_newton(
-            lambda xi, n: _line_jet(dual, xi, n, 2)[1:], p, n, t, lo, hi, 1e-11, scale
-        )
-    F, g, _ = dual.jet(p + t[:, None] * n, order)
-    return t, F, g
-
-
-def _section_line_minimum(primal: GaugeBody, p: Array, n: Array, order: int):
-    """The primal-section route of :func:`_line_minimum` on the numeric
-    dual of ``primal``: the section solve gives x with grad(0.5 F^2)(x) =
-    p + t* n, so t* = <grad(0.5 F^2)(x) - p, n> / |n|^2."""
-    x = _solve_gradient_inverse(primal, p, tangent_basis(n))
-    F, g, _ = primal.jet(x, 1)
-    t = np.einsum("...i,...i->...", F[:, None] * g - p, n) / np.einsum("...i,...i->...", n, n)
-    return t, F, x / F[:, None] if order else None
+            scale = np.linalg.norm(p, axis=-1) / np.linalg.norm(n, axis=-1)
+            # initial Newton step from t = 0, then a sign-change bracket of the
+            # slope around it by expansion
+            t = -np.divide(*_line_jet(dual, p, n, 2)[1:])
+            step = np.maximum(np.abs(t), scale)
+            lo, hi = t - step, t + step
+            _expand_bracket(slope, p, n, lo, step.copy(), -1.0)
+            _expand_bracket(slope, p, n, hi, step, 1.0)
+            _safeguarded_newton(
+                lambda xi, n: _line_jet(dual, xi, n, 2)[1:], p, n, t, lo, hi, 1e-11, scale
+            )
+        F, g, _ = dual.jet(p + t[:, None] * n, order)
+    if gather:  # scatter back: t = 0, F = 0 and a NaN gradient where p = 0
+        t_live, F_live, t, F = t, F, np.zeros(live.shape), np.zeros(live.shape)
+        t[live], F[live] = t_live, F_live
+        if order:
+            g_live, g = g, np.full(live.shape + g.shape[1:], np.nan)
+            g[live] = g_live
+    g = None if g is None else g.reshape(shape + g.shape[-1:])
+    return t.reshape(shape)[()], F.reshape(shape)[()], g
 
 
 def minimize_along_conormal(dual: GaugeBody, p: Array, n: Array):

@@ -106,6 +106,23 @@ def test_power_mean_rejects_odd_exponent():
         ),
         (lambda pm: scale_body(pm, 0.0), RejectedInputError, "scale factor must be positive"),
         (lambda pm: scale_body(pm, -2.0), RejectedInputError, "scale factor must be positive"),
+        (lambda pm: scale_body(pm, np.nan), RejectedInputError, "scale factor must be positive"),
+        (lambda pm: scale_body(pm, np.inf), RejectedInputError, "scale factor must be positive"),
+        (
+            lambda pm: make_ellipsoid(np.diag([1.0, 1.0, np.inf])),
+            RejectedInputError,
+            "ellipsoid matrix must be finite",
+        ),
+        (
+            lambda pm: make_ellipsoid(np.diag([1.0, np.nan, 1.0])),
+            RejectedInputError,
+            "ellipsoid matrix must be finite",
+        ),
+        (
+            lambda pm: make_power_mean([np.eye(3), np.diag([1.0, 1.0, np.inf])], 4),
+            RejectedInputError,
+            "matrices must be finite",
+        ),
         (
             lambda pm: legendre_inverse(pm, np.array([[0.1, 0.0, 0.0]])),
             PreconditionError,
@@ -127,6 +144,11 @@ def test_power_mean_rejects_odd_exponent():
         "power-mean-mixed-dims",
         "scale-zero",
         "scale-negative",
+        "scale-nan",
+        "scale-inf",
+        "ellipsoid-inf",
+        "ellipsoid-nan",
+        "power-mean-inf",
         "legendre-inverse-off-dual-sphere",
         "convexity-no-samples",
     ],

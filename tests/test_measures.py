@@ -16,7 +16,7 @@ from girthlab import (
 )
 from girthlab import measures
 from girthlab.bodies import dual_body, numeric_dual, scale_body, tangent_basis
-from girthlab.measures import _FLOOR_MARGIN, _gauge_floor, _ht_volume_once, _polar_area
+from girthlab.measures import _FLOOR_MARGIN, _ht_volume_once, _polar_area
 from girthlab.metric import minimize_along_conormal
 
 import oracles
@@ -310,7 +310,7 @@ def test_gauge_floor_bounds_the_gauge(aniso_ellipsoid, tilted_ellipsoid, pm_body
     u = np.random.default_rng(31).standard_normal((10_000, 3))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     for body in (aniso_ellipsoid, tilted_ellipsoid, pm_body, pm_body6, scale_body(pm_body, 1.7)):
-        m = _gauge_floor(body)
+        m = body.params["floor"]
         assert m > 0.0
         assert np.all(body.gauge(u) >= m), body.label
 
@@ -318,12 +318,14 @@ def test_gauge_floor_bounds_the_gauge(aniso_ellipsoid, tilted_ellipsoid, pm_body
 def test_gauge_floor_is_tight_on_an_ellipsoid(aniso_ellipsoid, tilted_ellipsoid):
     for body in (aniso_ellipsoid, tilted_ellipsoid):
         v = np.linalg.eigh(body.params["A"])[1][:, 0]
-        assert body.gauge(v) == pytest.approx(_gauge_floor(body), rel=1e-15, abs=0.0)
+        assert body.gauge(v) == pytest.approx(body.params["floor"], rel=1e-15, abs=0.0)
 
 
 def test_gauge_floor_of_a_numeric_dual_is_zero(pm_body):
-    assert _gauge_floor(numeric_dual(pm_body)) == 0.0
-    assert _gauge_floor(dual_body(pm_body)) == 0.0
+    # no floor is stored, so the cull reads m = 0 and solves every line
+    assert "floor" not in numeric_dual(pm_body).params
+    assert "floor" not in dual_body(pm_body).params
+    assert scale_body(numeric_dual(pm_body), 1.7).params["floor"] == 0.0
 
 
 @pytest.mark.parametrize("name", ["pm4", "pm6"])
@@ -334,7 +336,7 @@ def test_culled_lines_miss_the_body(named_bodies, name):
     )
     s = np.einsum("ij,ij->i", Q, gs) / np.einsum("ij,ij->i", gs, gs)
     d = np.linalg.norm(Q - s[:, None] * gs, axis=-1)
-    dropped = _gauge_floor(M) * (1.0 - _FLOOR_MARGIN) * d >= 1.0
+    dropped = M.params["floor"] * (1.0 - _FLOOR_MARGIN) * d >= 1.0
     assert 0.5 < dropped.mean() < 1.0
     _, val = minimize_along_conormal(M, Q[dropped], gs[dropped])
     assert val.min() >= 1.0

@@ -275,16 +275,42 @@ def test_numeric_dual_line_minimum_takes_the_primal_section(
     assert np.all(dot <= 1e-14 * np.linalg.norm(m, axis=-1) * np.linalg.norm(n, axis=-1))
 
 
-def test_numeric_dual_line_minimum_zero_rows_and_failure(monkeypatch, pm_body, aniso_ellipsoid):
-    # p = 0 rows short-circuit as on every route: t = 0, value 0, NaN gradient
-    dual = numeric_dual(pm_body)
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("route", ["section", "newton", "closed-form"])
+def test_line_minimum_zero_rows(route, order, pm_body, aniso_ellipsoid):
+    # p = 0 rows short-circuit on every route: t = 0, value 0, NaN gradient;
+    # the live rows keep the bits of a call without the zero rows
+    dual = {
+        "section": numeric_dual(pm_body),
+        "newton": pm_body,
+        "closed-form": dual_body(aniso_ellipsoid),
+    }[route]
     p, n = _conormal_lines(aniso_ellipsoid, 6, 17)
     p[[1, 4]] = 0.0
-    t, G, m = _line_minimum(dual, p, n, 1)
+    live = [0, 2, 3, 5]
+    t, G, m = _line_minimum(dual, p, n, order)
+    t_ref, G_ref, m_ref = _line_minimum(dual, p[live], n[live], order)
     assert np.all(t[[1, 4]] == 0.0) and np.all(G[[1, 4]] == 0.0)
-    assert np.isnan(m[[1, 4]]).all() and np.isfinite(m[[0, 2, 3, 5]]).all()
+    assert t[live].tobytes() == t_ref.tobytes() and G[live].tobytes() == G_ref.tobytes()
+    if order:
+        assert np.isnan(m[[1, 4]]).all() and np.isfinite(m[live]).all()
+        assert m[live].tobytes() == m_ref.tobytes()
+    else:
+        assert m is None and m_ref is None
+    t, G, m = _line_minimum(dual, p[[1, 4]], n[[1, 4]], order)
+    assert np.all(t == 0.0) and np.all(G == 0.0)
+    assert m is None if order == 0 else np.isnan(m).all()
+    t, G, m = _line_minimum(dual, np.zeros((0, 3)), np.zeros((0, 3)), order)
+    assert t.shape == G.shape == (0,)
+    assert m is None if order == 0 else m.shape == (0, 3)
+
+
+def test_numeric_dual_line_minimum_failure(monkeypatch, pm_body, aniso_ellipsoid):
     # with no Newton pass the section solve stops at the quadratic-model
     # start and raises with its support value, a lower bound of the minimum
+    dual = numeric_dual(pm_body)
+    p, n = _conormal_lines(aniso_ellipsoid, 6, 17)
+    _, G = minimize_along_conormal(dual, p[:1], n[:1])
     monkeypatch.setattr(bodies, "_DUAL_MAXIT", 0)
     with pytest.raises(NumericalFailureError) as info:
         _line_minimum(dual, p[:1], n[:1], 0)
